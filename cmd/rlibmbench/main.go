@@ -4,11 +4,11 @@
 // throughput comparison.
 //
 // With -roofline it instead runs the batch-kernel roofline harness:
-// per function, the staged pipeline against both fused kernel paths
-// and the selected path, next to the machine's measured memory and
+// per function, the scalar entry point against the batch kernel
+// EvalSlice serves, next to the machine's measured memory and
 // arithmetic ceilings — and a bit-exact parity gate over a mixed
 // ordinary+special sweep that fails the process (exit 1) on any
-// mismatch, which is what CI's bench-smoke job runs.
+// mismatch or missing kernel, which is what CI's bench-smoke job runs.
 //
 // Usage:
 //
@@ -127,14 +127,14 @@ func main() {
 }
 
 // runRoofline prints the roofline table and exits nonzero if any
-// kernel path disagrees with the scalar evaluator on any input.
+// function's batch kernel disagrees with the scalar evaluator on any
+// input or is missing.
 func runRoofline(n, reps int) {
 	rl := perf.MeasureRoofline(n, reps)
 	fmt.Printf("Batch-kernel roofline (n=%d, reps=%d)\n", n, reps)
-	fmt.Printf("machine: mul-add %.3f ns/op, stream %.3f ns/value, kernel path %s (%s)\n\n",
-		rl.MulAddNs, rl.StreamNs, rl.KernelPath, rl.KernelPathReason)
-	fmt.Printf("%-8s %-11s %9s %9s %9s %9s %6s %9s %9s %7s %7s\n",
-		"f(x)", "kind", "staged", "exact", "fma", "selected", "flops",
+	fmt.Printf("machine: mul-add %.3f ns/op, stream %.3f ns/value\n\n", rl.MulAddNs, rl.StreamNs)
+	fmt.Printf("%-8s %-6s %9s %9s %6s %9s %9s %7s %7s\n",
+		"f(x)", "kind", "scalar", "selected", "flops",
 		"membound", "compbound", "%roof", "parity")
 	bad := false
 	for _, r := range rl.Rows {
@@ -145,13 +145,13 @@ func runRoofline(n, reps int) {
 			parity = "FAIL"
 			bad = true
 		}
-		fmt.Printf("%-8s %-11s %8.2f  %8.2f  %8.2f  %8.2f  %5d  %8.2f  %8.2f  %5.1f%% %7s\n",
-			r.Func, r.Kind, r.StagedNs, r.ExactNs, r.FMANs, r.SelectedNs,
+		fmt.Printf("%-8s %-6s %8.2f  %8.2f  %5d  %8.2f  %8.2f  %5.1f%% %7s\n",
+			r.Func, r.Kind, r.ScalarNs, r.SelectedNs,
 			r.Flops, r.MemBoundNs, r.CompBoundNs, pct, parity)
 	}
 	fmt.Println("\nns columns are ns/value; %roof = max(membound, compbound) / selected.")
 	if bad {
-		fmt.Println("PARITY FAILURE: a kernel path disagrees with the scalar evaluator")
+		fmt.Println("PARITY FAILURE: a batch kernel is missing or disagrees with the scalar evaluator")
 		os.Exit(1)
 	}
 }

@@ -241,7 +241,6 @@ type funcStats struct {
 	NumTerms         []int   `json:"num_terms"`
 	OuterRounds      int     `json:"outer_rounds"`
 	Mismatches       int     `json:"mismatches"`
-	FMAMismatches    int     `json:"fma_mismatches"`
 	LPCalls          int     `json:"lp_calls"`
 	Pivots           int     `json:"lp_pivots"`
 	PresolveAccepted int     `json:"lp_presolve_accepted"`
@@ -271,7 +270,6 @@ func writeStatsJSON(path string, all []gentool.Stats) error {
 			NumTerms:         s.NumTerms,
 			OuterRounds:      s.OuterRounds,
 			Mismatches:       s.Mismatches,
-			FMAMismatches:    s.FMAMismatches,
 			LPCalls:          s.LPCalls,
 			Pivots:           s.Pivots,
 			PresolveAccepted: s.PresolveAccepted,

@@ -344,7 +344,7 @@ func render(w io.Writer, url string, cur, prev *snap, dt float64) {
 		fmtCount(rate(writevs)), unit, fpw, fmtCount(rate(wbytes)), unit)
 
 	// Batch-kernel health: which kernel kind serves the EvalSlice
-	// traffic (simd vs pure-Go vs staged fallback), and how wide the
+	// traffic (simd vs go vs the scalar-loop fallback), and how wide the
 	// batches actually are — narrow batches can't amortize per-batch
 	// costs, so the width histogram explains throughput regressions the
 	// per-function table alone can't.

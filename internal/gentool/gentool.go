@@ -104,12 +104,6 @@ type Stats struct {
 	LPCalls       int
 	OuterRounds   int
 	Mismatches    int // remaining validation mismatches (0 on success)
-	// FMAMismatches counts validation inputs whose rounded result moves
-	// when the polynomial cores are FMA-contracted the way the batch
-	// kernels contract them (0 certifies FMA admissibility; nonzero
-	// fails generation, because the runtime selects FMA kernels on the
-	// promise of bit-identity).
-	FMAMismatches int
 	// LP engine breakdown (see polygen.Stats).
 	PresolveAccepted int
 	PresolveRejected int
@@ -147,23 +141,6 @@ func (r *Result) Eval(x float64) float64 {
 	var vals [2]float64
 	for i, p := range r.Pieces {
 		vals[i] = p.Eval(red)
-	}
-	return r.Fam.OC(vals, c)
-}
-
-// EvalFMA is Eval with the FMA-contracted polynomial cores the batch
-// kernels substitute for the validated Horner sequences; everything
-// else (range reduction, output compensation) is unchanged. The
-// admissibility pass rounds this and Eval to the target representation
-// and demands identical results.
-func (r *Result) EvalFMA(x float64) float64 {
-	if y, ok := r.Fam.Special(x); ok {
-		return y
-	}
-	red, c := r.Fam.Reduce(x)
-	var vals [2]float64
-	for i, p := range r.Pieces {
-		vals[i] = p.EvalFMA(red)
 	}
 	return r.Fam.OC(vals, c)
 }
@@ -366,20 +343,6 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 		}
 	}
 
-	// FMA-admissibility pass: certify, on the same independent sample
-	// the final validation round passed, that contracting the
-	// polynomial cores into fused ops (the batch kernels' substitution)
-	// does not move any rounded result. Pure float64 re-evaluation —
-	// no oracle queries.
-	fmaStart := time.Now()
-	fsp := tc.Start("validate.fma")
-	fmaMismatches := validateFMA(res, tgt, val, cfg.Workers)
-	if fsp != nil {
-		fsp.Arg("inputs", len(val)).Arg("mismatches", fmaMismatches)
-		fsp.End()
-	}
-	validateTime += time.Since(fmaStart)
-
 	res.Stats = Stats{
 		Name:             name,
 		Variant:          cfg.Variant.String(),
@@ -392,7 +355,6 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 		LPCalls:          pstats.LPCalls,
 		OuterRounds:      rounds,
 		Mismatches:       mismatches,
-		FMAMismatches:    fmaMismatches,
 		PresolveAccepted: pstats.PresolveAccepted,
 		PresolveRejected: pstats.PresolveRejected,
 		WarmSolves:       pstats.WarmSolves,
@@ -418,9 +380,6 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 	}
 	if mismatches != 0 {
 		return res, fmt.Errorf("%s: %d validation mismatches after %d rounds", name, mismatches, rounds)
-	}
-	if fmaMismatches != 0 {
-		return res, fmt.Errorf("%s: %d FMA-admissibility mismatches (fused contraction moves rounded results; tables must not ship with FMA kernels)", name, fmaMismatches)
 	}
 	return res, nil
 }
@@ -642,46 +601,4 @@ func validate(res *Result, tgt interval.Target, xs []float64, workers int) ([]fl
 		all = append(all, b...)
 	}
 	return all, nil
-}
-
-// validateFMA is the FMA-admissibility pass: for every validation
-// input, the FMA-contracted evaluation (Result.EvalFMA — the exact
-// substitution the batch kernels make) must round to the same target
-// result as the validated Horner evaluation. It needs no oracle: the
-// Horner form already matches the oracle when this runs, so agreement
-// with Horner is agreement with the correctly rounded result. A
-// nonzero return means the generated polynomials sit too close to a
-// rounding boundary for contraction to be free, and the tables must
-// not ship with FMA kernels enabled.
-func validateFMA(res *Result, tgt interval.Target, xs []float64, workers int) int {
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	chunk := (len(xs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, x := range xs[lo:hi] {
-				horner := tgt.Round(res.Eval(x))
-				fused := tgt.Round(res.EvalFMA(x))
-				if !tgt.SameResult(fused, horner) {
-					counts[w]++
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }

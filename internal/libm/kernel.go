@@ -1,18 +1,15 @@
 // Fused batch kernels: the hardware-limit hot path behind EvalSlice
 // and the XxxSlice entry points.
 //
-// The staged pipeline in libm.go (convert → ReduceSlice → poly pass →
-// output compensation, each a separate loop over stack buffers) pays
-// for its modularity in memory traffic: every element is stored and
-// reloaded three times, the piecewise sign dispatch partitions and
-// scatters, and the special-case flags force two data-dependent
-// branches per element. The kernels in this file instead run the whole
-// recipe — range reduction, branchless sub-domain select, polynomial,
-// output compensation, final rounding — in one fully inlined pass per
-// element, with every table parameter hoisted and every
-// data-dependent select done by bit arithmetic (sign-bit row
-// indexing, min/max clamps, mask-blend folds) instead of
-// compare-chains.
+// Each kernel runs the whole recipe — range reduction, branchless
+// sub-domain select, polynomial, output compensation, final rounding —
+// in one fully inlined pass per element, with every table parameter
+// hoisted and every data-dependent select done by bit arithmetic
+// (sign-bit row indexing, min/max clamps, mask-blend folds) instead of
+// compare-chains. A staged pipeline (convert, reduce, polynomial and
+// compensation as separate loops over stack buffers) preceded them and
+// paid for its modularity in memory traffic: every element was stored
+// and reloaded three times.
 //
 // Loop structure, chosen by measurement (kernel_shape_test.go keeps
 // the evidence). Four shapes were built and rejected first:
@@ -50,19 +47,15 @@
 // report. The parity sweep plus kernel_shape_test.go guard the
 // regression.
 //
-// Bit-exactness contract. With fma=false the lanes repeat, token for
-// token, the operation sequence the generator validated (the same
-// sequence compile() and the staged path run), so their results are
-// bit-identical to the scalar library by construction. With fma=true
-// (selected by the probe in fmaprobe.go) the polynomial core contracts
-// into math.FMA/Estrin form — a different double whose final rounded
-// 32-bit result is still bit-identical because the generated
-// polynomials carry double-precision slack inside their rounding
-// intervals; that claim is checked by the generator's
-// FMA-admissibility pass (internal/gentool) and proven input-by-input
-// by the kernel parity sweep (parity_test.go, full-sweep mode).
-// Everything outside the polynomial core — reductions, output
-// compensation — stays verbatim on both paths.
+// Bit-exactness contract. The lanes repeat, token for token, the
+// operation sequence the generator validated (the same sequence
+// compile() runs): Horner in double inside the LP-derived rounding
+// intervals. Their results are therefore bit-identical to the scalar
+// library by construction, and the kernel parity sweep
+// (parity_test.go) checks it input by input. There is deliberately no
+// second polynomial core: an FMA-contracted or reassociated polynomial
+// is a different double, and the correctness proof covers only the
+// validated sequence.
 //
 // Keep every arithmetic step in sync with the Family Reduce/OC methods
 // in internal/rangered — that shared sequence is the paper's soundness
@@ -169,7 +162,7 @@ func fixupSpecials[T fpv](dst, xs []T, sc func(float64) float64, ord func(float6
 // computes garbage harmlessly and the fixup pass overwrites it.
 //
 //go:noinline
-func logKernel[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64, fma bool) func(dst, xs []T) {
+func logKernel[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64) func(dst, xs []T) {
 	tb := uint(fam.TabBits)
 	scale := float64(int(1) << tb)
 	invScale := math.Float64frombits(uint64(1023-tb) << 52) // exact 2^−TabBits
@@ -181,28 +174,6 @@ func logKernel[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(f
 	rw := pt.RowShift
 	co := pt.Coeffs
 	ord := func(x float64) bool { return ordNormalPositive(math.Float64bits(x)) }
-	if fma {
-		return func(dst, xs []T) {
-			bad := 0
-			for i := 0; i < len(xs); i++ {
-				b := math.Float64bits(float64(xs[i]))
-				if !ordNormalPositive(b) {
-					bad = 1
-				}
-				mhat := math.Float64frombits(b&(1<<52-1) | 1023<<52)
-				ep := int(b>>52) - 1023
-				j := int((mhat-1)*scale) & jmask
-				F := 1 + float64(j)*invScale
-				r := (mhat - F) / F
-				a := float64(ep)*lb2 + ftab[j]
-				c := co[int((min(max(math.Float64bits(r), minB), maxB)>>shift)&mask)<<rw:]
-				dst[i] = T(a + piecewise.QuadFMA(c[0], c[1], c[2], r)*r)
-			}
-			if bad != 0 {
-				fixupSpecials(dst, xs, sc, ord)
-			}
-		}
-	}
 	return func(dst, xs []T) {
 		bad := 0
 		for i := 0; i < len(xs); i++ {
@@ -236,33 +207,13 @@ func logKernel[T fpv](fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(f
 // compute garbage harmlessly for the fixup pass to overwrite.
 //
 //go:noinline
-func expKernel[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) float64, fma bool) func(dst, xs []T) {
+func expKernel[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) float64) func(dst, xs []T) {
 	invC, chi, clo := fam.InvC, fam.CHi, fam.CLo
 	ovfLo, undHi, tinyLo, tinyHi := fam.OvfLo, fam.UndHi, fam.TinyLo, fam.TinyHi
 	ttab := (*[64]float64)(fam.TTab)
 	// Exact complement of Special (NaN fails x > undHi).
 	ord := func(x float64) bool {
 		return x > undHi && x < ovfLo && (x < tinyLo || x > tinyHi)
-	}
-	if fma {
-		return func(dst, xs []T) {
-			bad := 0
-			for i := 0; i < len(xs); i++ {
-				x := float64(xs[i])
-				if !(x > undHi && x < ovfLo && (x < tinyLo || x > tinyHi)) {
-					bad = 1
-				}
-				k := roundHalfAway(x * invC)
-				r := (x - k*chi) - k*clo
-				ki := int(k)
-				a := rangered.Exp2i(ki>>6) * ttab[ki&63]
-				c := co[int(math.Float64bits(r)>>63)<<3:]
-				dst[i] = T(a * piecewise.Dense5FMA(c[0], c[1], c[2], c[3], c[4], r))
-			}
-			if bad != 0 {
-				fixupSpecials(dst, xs, sc, ord)
-			}
-		}
 	}
 	return func(dst, xs []T) {
 		bad := 0
@@ -295,7 +246,7 @@ func expKernel[T fpv](fam *rangered.ExpFamily, co []float64, sc func(float64) fl
 // range.
 //
 //go:noinline
-func sinhcoshKernel[T fpv](fam *rangered.SinhCoshFamily, p0, p1 *piecewise.Table, sc func(float64) float64, fma bool) func(dst, xs []T) {
+func sinhcoshKernel[T fpv](fam *rangered.SinhCoshFamily, p0, p1 *piecewise.Table, sc func(float64) float64) func(dst, xs []T) {
 	invC, chi, clo := fam.InvC, fam.CHi, fam.CLo
 	st := (*[64]float64)(fam.ST)
 	ct := (*[64]float64)(fam.CT)
@@ -321,37 +272,6 @@ func sinhcoshKernel[T fpv](fam *rangered.SinhCoshFamily, p0, p1 *piecewise.Table
 			return ax < ovfLo && x != 0
 		}
 		return ax < ovfLo && ax > tinyHi
-	}
-	if fma {
-		return func(dst, xs []T) {
-			bad := 0
-			for i := 0; i < len(xs); i++ {
-				x := float64(xs[i])
-				y := math.Abs(x)
-				if !(y < ovfLo && (isSinh && x != 0 || !isSinh && y > tinyHi)) {
-					bad = 1
-				}
-				k := math.Floor(y * invC)
-				r := (y - k*chi) - k*clo
-				ki := int(k)
-				m := ki >> 6
-				e := rangered.Exp2i(m)
-				ei := rangered.Exp2i(-m)
-				p := (e + pS*ei) * 0.5
-				q := (e + qS*ei) * 0.5
-				j := ki & 63
-				a := p*ct[j] + q*st[j]
-				b := p*st[j] + q*ct[j]
-				r2 := r * r
-				v0 := piecewise.QuadFMA(d0, d1, d2, r2) * r
-				v1 := piecewise.QuadFMA(e0, e1, e2, r2)
-				z := a*v1 + b*v0
-				dst[i] = T(math.Float64frombits(math.Float64bits(z) ^ (signbit64(x) & sgnMask)))
-			}
-			if bad != 0 {
-				fixupSpecials(dst, xs, sc, ord)
-			}
-		}
 	}
 	return func(dst, xs []T) {
 		bad := 0
@@ -395,7 +315,7 @@ func sinhcoshKernel[T fpv](fam *rangered.SinhCoshFamily, p0, p1 *piecewise.Table
 // a special input from going negative.
 //
 //go:noinline
-func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc func(float64) float64, fma bool) func(dst, xs []T) {
+func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc func(float64) float64) func(dst, xs []T) {
 	sinT, cosT := fam.SinT, fam.CosT
 	tinyHi, hugeLo := fam.TinyHi, fam.HugeLo
 	d0, d1, d2 := p0.Coeffs[0], p0.Coeffs[1], p0.Coeffs[2]
@@ -404,35 +324,6 @@ func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc f
 	ord := func(x float64) bool {
 		ax := math.Abs(x)
 		return ax > tinyHi && ax < hugeLo
-	}
-	if fma {
-		return func(dst, xs []T) {
-			bad := 0
-			for i := 0; i < len(xs); i++ {
-				x := float64(xs[i])
-				ax := math.Abs(x)
-				if !(ax > tinyHi && ax < hugeLo) {
-					bad = 1
-				}
-				sgn := signbit64(x)
-				j := ax - 2*math.Floor(ax*0.5)
-				t := math.Floor(j)
-				j -= t // exact for t ∈ {0, 1}
-				sgn ^= uint64(int64(t)) << 63
-				j = blend64(j, 1-j, gtMask(j, 0.5))
-				n := min(max(int(j*512), 0), 255)
-				r := j - float64(n)*0x1p-9
-				a, b := sinT[n], cosT[n]
-				r2 := r * r
-				v0 := piecewise.QuadFMA(d0, d1, d2, r2) * r
-				v1 := piecewise.QuadFMA(e0, e1, e2, r2)
-				z := a*v1 + b*v0
-				dst[i] = T(math.Float64frombits(math.Float64bits(z) ^ sgn))
-			}
-			if bad != 0 {
-				fixupSpecials(dst, xs, sc, ord)
-			}
-		}
 	}
 	return func(dst, xs []T) {
 		bad := 0
@@ -445,7 +336,7 @@ func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc f
 			sgn := signbit64(x)
 			j := ax - 2*math.Floor(ax*0.5)
 			t := math.Floor(j)
-			j -= t
+			j -= t // exact for t ∈ {0, 1}
 			sgn ^= uint64(int64(t)) << 63
 			j = blend64(j, 1-j, gtMask(j, 0.5))
 			n := min(max(int(j*512), 0), 255)
@@ -472,7 +363,7 @@ func sinpiKernel[T fpv](fam *rangered.SinPiFamily, p0, p1 *piecewise.Table, sc f
 // clamp as sinpiKernel for totality.
 //
 //go:noinline
-func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc func(float64) float64, fma bool) func(dst, xs []T) {
+func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc func(float64) float64) func(dst, xs []T) {
 	sinT, cosT := fam.SinT, fam.CosT
 	tinyHi, hugeLo := fam.TinyHi, fam.HugeLo
 	d0, d1, d2 := p0.Coeffs[0], p0.Coeffs[1], p0.Coeffs[2]
@@ -481,39 +372,6 @@ func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc f
 	ord := func(x float64) bool {
 		ax := math.Abs(x)
 		return ax > tinyHi && ax < hugeLo
-	}
-	if fma {
-		return func(dst, xs []T) {
-			bad := 0
-			for i := 0; i < len(xs); i++ {
-				x := float64(xs[i])
-				ax := math.Abs(x)
-				if !(ax > tinyHi && ax < hugeLo) {
-					bad = 1
-				}
-				j := ax - 2*math.Floor(ax*0.5)
-				t := math.Floor(j)
-				j -= t
-				sgn := uint64(int64(t)) << 63
-				m := gtMask(j, 0.5)
-				sgn ^= m & (1 << 63)
-				j = blend64(j, 1-j, m)
-				n := min(max(int(j*512), 0), 255)
-				q := j - float64(n)*0x1p-9
-				mnz := uint64(int64(-n) >> 63) // all-ones iff n > 0
-				idx := int(uint64(n+1) & mnz)
-				r := blend64(q, 0x1p-9-q, mnz)
-				a, b := cosT[idx], sinT[idx]
-				r2 := r * r
-				v0 := piecewise.QuadFMA(d0, d1, d2, r2) * r
-				v1 := piecewise.QuadFMA(e0, e1, e2, r2)
-				z := a*v1 + b*v0
-				dst[i] = T(math.Float64frombits(math.Float64bits(z) ^ sgn))
-			}
-			if bad != 0 {
-				fixupSpecials(dst, xs, sc, ord)
-			}
-		}
 	}
 	return func(dst, xs []T) {
 		bad := 0
@@ -532,7 +390,7 @@ func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc f
 			j = blend64(j, 1-j, m)
 			n := min(max(int(j*512), 0), 255)
 			q := j - float64(n)*0x1p-9
-			mnz := uint64(int64(-n) >> 63)
+			mnz := uint64(int64(-n) >> 63) // all-ones iff n > 0
 			idx := int(uint64(n+1) & mnz)
 			r := blend64(q, 0x1p-9-q, mnz)
 			a, b := cosT[idx], sinT[idx]
@@ -548,12 +406,10 @@ func cospiKernel[T fpv](fam *rangered.CosPiFamily, p0, p1 *piecewise.Table, sc f
 	}
 }
 
-// fusedSlice builds the fused batch evaluator for f on the given
-// polynomial path when its generated table shapes match a kernel (they
-// do for every shipped function); it returns nil for shapes the
-// kernels don't cover, and the caller falls back to the staged
-// pipeline.
-func fusedSlice[T fpv](f *impl, fma bool) func(dst, xs []T) {
+// fusedSlice builds the fused batch evaluator for f when its
+// generated table shapes match a kernel (they do for every shipped
+// function); it returns nil for shapes the kernels don't cover.
+func fusedSlice[T fpv](f *impl) func(dst, xs []T) {
 	sc := compile(f)
 	switch fam := f.fam.(type) {
 	case *rangered.LogFamily:
@@ -565,7 +421,7 @@ func fusedSlice[T fpv](f *impl, fma bool) func(dst, xs []T) {
 			fam.TabBits <= 0 || len(fam.FTab) != 1<<uint(fam.TabBits) {
 			return nil
 		}
-		return logKernel[T](fam, p.Pos.Prepare(), sc, fma)
+		return logKernel[T](fam, p.Pos.Prepare(), sc)
 	case *rangered.ExpFamily:
 		if len(f.pieces) != 1 {
 			return nil
@@ -576,70 +432,73 @@ func fusedSlice[T fpv](f *impl, fma bool) func(dst, xs []T) {
 			len(p.Neg.Terms) != 5 || len(p.Pos.Terms) != 5 || p.Neg.N != 0 || p.Pos.N != 0 {
 			return nil
 		}
-		return expKernel[T](fam, prepareSignPair(p.Neg, p.Pos), sc, fma)
+		return expKernel[T](fam, prepareSignPair(p.Neg, p.Pos), sc)
 	case *rangered.SinhCoshFamily:
 		p0, p1, ok := singleOddEvenPair(f)
 		if !ok || len(fam.ST) != 64 || len(fam.CT) != 64 {
 			return nil
 		}
-		return sinhcoshKernel[T](fam, p0, p1, sc, fma)
+		return sinhcoshKernel[T](fam, p0, p1, sc)
 	case *rangered.SinPiFamily:
 		p0, p1, ok := singleOddEvenPair(f)
 		if !ok || len(fam.SinT) < 256 || len(fam.CosT) < 256 {
 			return nil
 		}
-		return sinpiKernel[T](fam, p0, p1, sc, fma)
+		return sinpiKernel[T](fam, p0, p1, sc)
 	case *rangered.CosPiFamily:
 		p0, p1, ok := singleOddEvenPair(f)
 		if !ok || len(fam.SinT) < 257 || len(fam.CosT) < 257 {
 			return nil
 		}
-		return cospiKernel[T](fam, p0, p1, sc, fma)
+		return cospiKernel[T](fam, p0, p1, sc)
 	}
 	return nil
 }
 
-// fusedSlice32 is fusedSlice[float32] plus the one float32-only
-// upgrade: on hardware that can run it, the exponential families'
-// kernel is replaced by the AVX2 vector implementation (simd_amd64.go),
-// which keeps the pure-Go kernel for the n%4 tail. Other
-// architectures and non-exp shapes get the generic kernel unchanged.
-// fmaContractionUnsafe lists float32 functions whose generated tables
-// are NOT FMA-admissible at full 2^32 scale: the exhaustive kernel
-// parity sweep (RLIBM_PARITY_FULL=1) found single inputs where the
-// contracted core's different double rounding crosses a float32
-// rounding boundary — exp at input bits 0xc16912cd and exp10 at
-// 0x417d7f60, each one ulp off the correctly rounded result. gentool's
-// FMA-admissibility pass certifies the validation sample, which is
-// necessary but (as these two inputs prove) not sufficient; only the
-// exhaustive sweep settles the question, so fusedSlice32 pins these
-// functions to the exact Horner core on every path, Go and SIMD. The
-// cost is noise — the SIMD exact exp lane measures within 3% of the
-// fma lane. TestFMAContractionWitness keeps the counterexamples alive
-// so a table regeneration that changes the verdict surfaces here.
-var fmaContractionUnsafe = map[string]bool{
-	"exp":   true,
-	"exp10": true,
+// scalarSlice is the batch form of an unmatched table shape: a plain
+// loop over the compiled scalar evaluator. No shipped function takes
+// it — the kernel parity tests fail if one would.
+func scalarSlice[T fpv](sc func(float64) float64) func(dst, xs []T) {
+	return func(dst, xs []T) {
+		for i, x := range xs {
+			dst[i] = T(sc(float64(x)))
+		}
+	}
 }
 
-func fusedSlice32(f *impl, fma bool) func(dst, xs []float32) {
-	fma = fma && !fmaContractionUnsafe[f.name]
-	k := fusedSlice[float32](f, fma)
+// Kernel kinds reported by fusedSlice32: the AVX2 vector kernel, the
+// pure-Go fused kernel, or the scalar-loop fallback.
+const (
+	kindSIMD   = "simd"
+	kindGo     = "go"
+	kindScalar = "scalar"
+)
+
+// fusedSlice32 builds the float32 batch evaluator for f and reports
+// which kind it built. On hardware that can run it, the exp and log
+// families' kernel is the AVX2 vector implementation (simd_amd64.go),
+// which keeps the pure-Go kernel for the n%4 tail; other architectures
+// and families get the pure-Go kernel, and unmatched shapes the scalar
+// loop. This is the only place the kind is decided: KernelKind32 and
+// the served EvalSlice kernels both read it from here.
+func fusedSlice32(f *impl) (func(dst, xs []float32), string) {
+	sc := compile(f)
+	k := fusedSlice[float32](f)
 	if k == nil {
-		return nil
+		return scalarSlice[float32](sc), kindScalar
 	}
 	switch fam := f.fam.(type) {
 	case *rangered.ExpFamily:
 		p := f.pieces[0]
-		if sk := simdExpSlice(fam, prepareSignPair(p.Neg, p.Pos), compile(f), fma, k); sk != nil {
-			return sk
+		if sk := simdExpSlice(fam, prepareSignPair(p.Neg, p.Pos), sc, k); sk != nil {
+			return sk, kindSIMD
 		}
 	case *rangered.LogFamily:
-		if sk := simdLogSlice(fam, f.pieces[0].Pos.Prepare(), compile(f), fma, k); sk != nil {
-			return sk
+		if sk := simdLogSlice(fam, f.pieces[0].Pos.Prepare(), sc, k); sk != nil {
+			return sk, kindSIMD
 		}
 	}
-	return k
+	return k, kindGo
 }
 
 // singleOddEvenPair matches the two-reduced-function families' table

@@ -16,8 +16,9 @@ func benchInputs(n int) []float32 {
 	return xs
 }
 
-// BenchmarkKernelPathsExp pits the staged pipeline against both fused
-// kernel paths on the same process, same inputs — the in-process
+// BenchmarkKernelPathsExp pits the scalar-loop fallback against the
+// pure-Go fused kernel and, where the hardware runs it, the AVX2
+// kernel on the same process, same inputs — the in-process
 // before/after comparison the roofline harness reports.
 func BenchmarkKernelPathsExp(b *testing.B) {
 	xs := benchInputs(1024)
@@ -31,11 +32,6 @@ func BenchmarkKernelPathsExp(b *testing.B) {
 	if f == nil {
 		b.Fatal("no exp impl")
 	}
-	staged := compileSlice(f)
-	exact := fusedSlice[float32](f, false)
-	fmak := fusedSlice[float32](f, true)
-	vexact := fusedSlice32(f, false)
-	vfma := fusedSlice32(f, true)
 	run := func(name string, k func(dst, xs []float32)) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -44,14 +40,10 @@ func BenchmarkKernelPathsExp(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1024), "ns/value")
 		})
 	}
-	run("staged", staged)
-	run("fused-exact", exact)
-	run("fused-fma", fmak)
-	if simdAVX2 {
-		run("simd-exact", vexact)
-	}
-	if simdFMA3 {
-		run("simd-fma", vfma)
+	run("scalar", scalarSlice[float32](compile(f)))
+	run("go", fusedSlice[float32](f))
+	if k, kind := fusedSlice32(f); kind == kindSIMD {
+		run("simd", k)
 	}
 	_ = math.Float32bits(dst[0])
 }

@@ -3,6 +3,8 @@ package libm
 import (
 	"math"
 	"testing"
+
+	"rlibm32/internal/rangered"
 )
 
 // TestRoundHalfAwayMatchesMathRound pins the kernel-local math.Round
@@ -42,16 +44,55 @@ func TestRoundHalfAwayMatchesMathRound(t *testing.T) {
 // TestFusedKernelCoverage asserts every shipped function in every
 // variant actually gets a fused kernel — if a regenerated table ever
 // changes shape, this fails loudly instead of silently dropping to the
-// staged fallback.
+// scalar-loop fallback.
 func TestFusedKernelCoverage(t *testing.T) {
 	for _, e := range Registry() {
 		for _, f := range implsFor(e.Variant) {
 			if f.name != e.Name {
 				continue
 			}
-			if k := fusedSlice[float64](f, false); k == nil {
+			if k := fusedSlice[float64](f); k == nil {
 				t.Errorf("%s/%s: table shape has no fused kernel", e.Variant, e.Name)
 			}
+		}
+	}
+}
+
+// TestKernelPathShape checks the telemetry-facing accessor: every
+// shipped float32 function reports one of the documented kernel kinds
+// ("simd" or "go" — no shipped table shape drops to "scalar"), and an
+// unknown name reports "" with no kernel.
+func TestKernelPathShape(t *testing.T) {
+	for _, f := range float32Impls {
+		if k := KernelKind32(f.name); k != kindSIMD && k != kindGo {
+			t.Errorf("KernelKind32(%q) = %q, want %s|%s", f.name, k, kindSIMD, kindGo)
+		}
+	}
+	if k, kind := Kernel32("nope"); k != nil || kind != "" {
+		t.Errorf("Kernel32(nope) = (%v, %q), want (nil, \"\")", k != nil, kind)
+	}
+}
+
+// TestKernelPathProbe pins the selection rule: the vector kernel is
+// chosen exactly when the CPU check found AVX2 and the function is in
+// the exponential or logarithm family; every other function serves
+// the pure-Go fused kernel. The choice is deterministic, so repeated
+// builds report the same kind.
+func TestKernelPathProbe(t *testing.T) {
+	for _, f := range float32Impls {
+		want := kindGo
+		switch f.fam.(type) {
+		case *rangered.ExpFamily, *rangered.LogFamily:
+			if simdAVX2 {
+				want = kindSIMD
+			}
+		}
+		k, kind := Kernel32(f.name)
+		if k == nil || kind != want {
+			t.Errorf("Kernel32(%q) kind = %q (kernel %v), want %q (simdAVX2=%v)", f.name, kind, k != nil, want, simdAVX2)
+		}
+		if again := KernelKind32(f.name); again != kind {
+			t.Errorf("KernelKind32(%q) = %q, then %q", f.name, kind, again)
 		}
 	}
 }

@@ -35,18 +35,6 @@ func BenchmarkKernelShape(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
 	})
-	b.Run("dense5-fma", func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			for i := 0; i < n; i++ {
-				r := xs[i]
-				r2 := r * r
-				lo := math.FMA(c1, r, c0)
-				hi := math.FMA(c3, r, math.FMA(c4, r2, c2))
-				dst[i] = math.FMA(hi, r2, lo)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
-	})
 	b.Run("exp-1wide", func(b *testing.B) {
 		for it := 0; it < b.N; it++ {
 			for i := 0; i < n; i++ {
@@ -56,22 +44,6 @@ func BenchmarkKernelShape(b *testing.B) {
 				ki := int(k)
 				a := math.Float64frombits(uint64((ki>>6)+1023)<<52) * ttab[ki&63]
 				dst[i] = a * ((((c4*r+c3)*r+c2)*r+c1)*r + c0)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
-	})
-	b.Run("exp-1wide-fma", func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			for i := 0; i < n; i++ {
-				x := xs[i]
-				k := roundHalfAway(x * invC)
-				r := (x - k*chi) - k*clo
-				ki := int(k)
-				a := math.Float64frombits(uint64((ki>>6)+1023)<<52) * ttab[ki&63]
-				r2 := r * r
-				lo := math.FMA(c1, r, c0)
-				hi := math.FMA(c3, r, math.FMA(c4, r2, c2))
-				dst[i] = a * math.FMA(hi, r2, lo)
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
@@ -285,32 +257,6 @@ func BenchmarkKernelShape(b *testing.B) {
 				a := math.Float64frombits(uint64((ki>>6)+1023)<<52) * ttab[ki&63]
 				c := co[int(math.Float64bits(r)>>63)<<3:]
 				df[i] = float32(a * ((((c[4]*r+c[3])*r+c[2])*r+c[1])*r + c[0]))
-			}
-			if bad != 0 {
-				shapeSink++
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/value")
-	})
-	b.Run("exp-1wide-row-fixup-fma", func(b *testing.B) {
-		for it := 0; it < b.N; it++ {
-			bad := 0
-			for i := 0; i < n; i++ {
-				x := float64(xf[i])
-				v := 0
-				if !(x > undHi && x < ovfLo && (x < tinyLo || x > tinyHi)) {
-					v = 1
-				}
-				bad |= v
-				k := roundHalfAway(x * invC)
-				r := (x - k*chi) - k*clo
-				ki := int(k)
-				a := math.Float64frombits(uint64((ki>>6)+1023)<<52) * ttab[ki&63]
-				c := co[int(math.Float64bits(r)>>63)<<3:]
-				r2 := r * r
-				lo := math.FMA(c[1], r, c[0])
-				hi := math.FMA(c[3], r, math.FMA(c[4], r2, c[2]))
-				df[i] = float32(a * math.FMA(hi, r2, lo))
 			}
 			if bad != 0 {
 				shapeSink++

@@ -1,82 +1,40 @@
 package libm
 
-import "rlibm32/internal/rangered"
-
 // Exported kernel introspection for the parity tests, the roofline
 // harness and telemetry. Everything here is cheap plumbing over
 // kernel.go; the hot paths never go through it.
 
-// KernelKind32 reports which batch kernel the float32 slice entry
-// points select for name under the current probe/override state:
-// "simd-exact"/"simd-fma" for the AVX2 vector kernels, "go-exact"/
-// "go-fma" for the pure-Go fused kernels, "staged" for the structural
-// fallback, "" for an unknown name. Telemetry labels batches with it
-// and the roofline harness prints it.
-func KernelKind32(name string) string {
-	for _, f := range float32Impls {
-		if f.name != name {
-			continue
-		}
-		fma := useFMAKernels() && !fmaContractionUnsafe[f.name]
-		if fusedSlice[float32](f, fma) == nil {
-			return "staged"
-		}
-		kind := "go"
-		switch f.fam.(type) {
-		case *rangered.ExpFamily, *rangered.LogFamily:
-			// Mirrors the simdExpSlice/simdLogSlice gate.
-			if simdAVX2 && (!fma || simdFMA3) {
-				kind = "simd"
-			}
-		}
-		if fma {
-			return kind + "-fma"
-		}
-		return kind + "-exact"
-	}
-	return ""
-}
-
-// KernelPaths32 builds the fused float32 batch kernels for BOTH
-// polynomial paths of the named float32 function, regardless of what
-// the probe selected: exact runs the generator-validated Horner
-// sequence, fma the math.FMA/Estrin contraction — except for the
-// functions in fmaContractionUnsafe, whose fma kernel is pinned to the
-// exact core (the only form servable there). ok is false when the
-// function's table shape has no fused kernel (no shipped function hits
-// that today). The parity sweep drives both against the scalar path.
-func KernelPaths32(name string) (exact, fma func(dst, xs []float32), ok bool) {
+// Kernel32 builds the float32 batch kernel EvalSlice serves for the
+// named function and reports its kind: "simd" for the AVX2 vector
+// kernel, "go" for the pure-Go fused kernel, "scalar" for the loop
+// over the scalar evaluator that an unmatched table shape falls back
+// to (no shipped function does), "" with a nil kernel for an unknown
+// name. The parity sweep drives the kernel against the scalar path.
+func Kernel32(name string) (func(dst, xs []float32), string) {
 	for _, f := range float32Impls {
 		if f.name == name {
-			e := fusedSlice32(f, false)
-			m := fusedSlice32(f, true)
-			return e, m, e != nil && m != nil
+			return fusedSlice32(f)
 		}
 	}
-	return nil, nil, false
+	return nil, ""
 }
 
-// KernelPaths64 is KernelPaths32 over exact float64 embeddings for any
-// generated variant (posit32 and the 16-bit table sets).
-func KernelPaths64(variant, name string) (exact, fma func(dst, xs []float64), ok bool) {
+// KernelKind32 reports the kind of the float32 batch kernel serving
+// name (see Kernel32). Telemetry labels batches with it and the
+// roofline harness prints it.
+func KernelKind32(name string) string {
+	_, kind := Kernel32(name)
+	return kind
+}
+
+// Kernel64 is Kernel32 over exact float64 embeddings for any generated
+// variant (posit32 and the 16-bit table sets). ok is false when the
+// function is unknown or its table shape has no fused kernel.
+func Kernel64(variant, name string) (k func(dst, xs []float64), ok bool) {
 	for _, f := range implsFor(variant) {
 		if f.name == name {
-			e := fusedSlice[float64](f, false)
-			m := fusedSlice[float64](f, true)
-			return e, m, e != nil && m != nil
-		}
-	}
-	return nil, nil, false
-}
-
-// StagedSlice32 builds the staged-pipeline (pre-kernel) batch
-// evaluator for the named float32 function — the structural fallback
-// compileSliceAuto keeps for unmatched table shapes. The roofline
-// harness uses it as the before-side of the before/after comparison.
-func StagedSlice32(name string) (func(dst, xs []float32), bool) {
-	for _, f := range float32Impls {
-		if f.name == name {
-			return compileSlice(f), true
+			k = fusedSlice[float64](f)
+			return k, k != nil
 		}
 	}
 	return nil, false

@@ -106,327 +106,6 @@ func compile(f *impl) func(float64) float64 {
 	return f.eval
 }
 
-// bchunk sizes the staged batch buffers: big enough to amortize the
-// per-chunk table dispatch, small enough that all stage buffers stay
-// in L1 (and on the stack).
-const bchunk = 256
-
-// compileSliceAuto builds the batch evaluator for an impl: the fused
-// branchless kernel (kernel.go) when the generated table shapes match
-// one — they do for every shipped function — with the staged pipeline
-// below kept as the structural fallback for shapes future generators
-// might emit. Both produce bit-identical results to the scalar path.
-func compileSliceAuto(f *impl) func(dst, xs []float32) {
-	if k := fusedSlice32(f, useFMAKernels()); k != nil {
-		return k
-	}
-	return compileSlice(f)
-}
-
-// compileSliceAuto64 is compileSliceAuto over exact float64 embeddings.
-func compileSliceAuto64(f *impl) func(dst, xs []float64) {
-	if k := fusedSlice[float64](f, useFMAKernels()); k != nil {
-		return k
-	}
-	return compileSlice64(f)
-}
-
-// compileSlice builds the staged batch evaluator for an impl.
-// Each chunk runs in stages — special-case/range-reduce pass, call-free
-// piecewise Horner pass (Piecewise.EvalSlice), output-compensation
-// pass — so the per-element work is short dependency chains the CPU
-// overlaps across elements, instead of one long call chain per element.
-// The per-element arithmetic is token-for-token the same sequence
-// compile() validates, so batch and scalar results are bit-identical.
-// Special-case inputs get their result written in stage one; the dummy
-// reduced value 0 keeps the Horner pass in-bounds (Table.Index clamps)
-// and its value is never read back.
-func compileSlice(f *impl) func(dst []float32, xs []float32) {
-	switch fam := f.fam.(type) {
-	case *rangered.LogFamily:
-		p := f.pieces[0]
-		return func(dst, xs []float32) {
-			var xb, rs, vs, as [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					xb[j] = float64(xs[off+j])
-				}
-				fam.ReduceSlice(rs[:n], as[:n], sp[:n], xb[:n])
-				p.EvalSlice(vs[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if sp[j] {
-						dst[off+j] = float32(as[j])
-					} else {
-						dst[off+j] = float32(as[j] + vs[j])
-					}
-				}
-			}
-		}
-	case *rangered.ExpFamily:
-		p := f.pieces[0]
-		return func(dst, xs []float32) {
-			var xb, rs, vs, as [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					xb[j] = float64(xs[off+j])
-				}
-				fam.ReduceSlice(rs[:n], as[:n], sp[:n], xb[:n])
-				p.EvalSlice(vs[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if sp[j] {
-						dst[off+j] = float32(as[j])
-					} else {
-						dst[off+j] = float32(as[j] * vs[j])
-					}
-				}
-			}
-		}
-	case *rangered.SinhCoshFamily:
-		p0, p1 := f.pieces[0], f.pieces[1]
-		return func(dst, xs []float32) {
-			var rs, v0, v1, sa, sb, ss [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					x := float64(xs[off+j])
-					if y, ok := fam.Special(x); ok {
-						dst[off+j] = float32(y)
-						sp[j], rs[j] = true, 0
-						continue
-					}
-					r, c := fam.Reduce(x)
-					sp[j], rs[j], sa[j], sb[j], ss[j] = false, r, c.A, c.B, c.S
-				}
-				p0.EvalSlice(v0[:n], rs[:n])
-				p1.EvalSlice(v1[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if !sp[j] {
-						dst[off+j] = float32(ss[j] * (sa[j]*v1[j] + sb[j]*v0[j]))
-					}
-				}
-			}
-		}
-	case *rangered.SinPiFamily:
-		p0, p1 := f.pieces[0], f.pieces[1]
-		return func(dst, xs []float32) {
-			var rs, v0, v1, sa, sb, ss [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					x := float64(xs[off+j])
-					if y, ok := fam.Special(x); ok {
-						dst[off+j] = float32(y)
-						sp[j], rs[j] = true, 0
-						continue
-					}
-					r, c := fam.Reduce(x)
-					sp[j], rs[j], sa[j], sb[j], ss[j] = false, r, c.A, c.B, c.S
-				}
-				p0.EvalSlice(v0[:n], rs[:n])
-				p1.EvalSlice(v1[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if !sp[j] {
-						dst[off+j] = float32(ss[j] * (sa[j]*v1[j] + sb[j]*v0[j]))
-					}
-				}
-			}
-		}
-	case *rangered.CosPiFamily:
-		p0, p1 := f.pieces[0], f.pieces[1]
-		return func(dst, xs []float32) {
-			var rs, v0, v1, sa, sb, ss [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					x := float64(xs[off+j])
-					if y, ok := fam.Special(x); ok {
-						dst[off+j] = float32(y)
-						sp[j], rs[j] = true, 0
-						continue
-					}
-					r, c := fam.Reduce(x)
-					sp[j], rs[j], sa[j], sb[j], ss[j] = false, r, c.A, c.B, c.S
-				}
-				p0.EvalSlice(v0[:n], rs[:n])
-				p1.EvalSlice(v1[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if !sp[j] {
-						dst[off+j] = float32(ss[j] * (sa[j]*v1[j] + sb[j]*v0[j]))
-					}
-				}
-			}
-		}
-	}
-	return func(dst, xs []float32) {
-		for i, xf := range xs {
-			dst[i] = float32(f.eval(float64(xf)))
-		}
-	}
-}
-
-// compileSlice64 is compileSlice over exact float64 embeddings (the
-// posit32 batch entry points use it).
-func compileSlice64(f *impl) func(dst []float64, xs []float64) {
-	switch fam := f.fam.(type) {
-	case *rangered.LogFamily:
-		p := f.pieces[0]
-		return func(dst, xs []float64) {
-			var rs, vs, as [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				fam.ReduceSlice(rs[:n], as[:n], sp[:n], xs[off:off+n])
-				p.EvalSlice(vs[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if sp[j] {
-						dst[off+j] = as[j]
-					} else {
-						dst[off+j] = as[j] + vs[j]
-					}
-				}
-			}
-		}
-	case *rangered.ExpFamily:
-		p := f.pieces[0]
-		return func(dst, xs []float64) {
-			var rs, vs, as [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				fam.ReduceSlice(rs[:n], as[:n], sp[:n], xs[off:off+n])
-				p.EvalSlice(vs[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if sp[j] {
-						dst[off+j] = as[j]
-					} else {
-						dst[off+j] = as[j] * vs[j]
-					}
-				}
-			}
-		}
-	case *rangered.SinhCoshFamily:
-		p0, p1 := f.pieces[0], f.pieces[1]
-		return func(dst, xs []float64) {
-			var rs, v0, v1, sa, sb, ss [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					x := xs[off+j]
-					if y, ok := fam.Special(x); ok {
-						dst[off+j] = y
-						sp[j], rs[j] = true, 0
-						continue
-					}
-					r, c := fam.Reduce(x)
-					sp[j], rs[j], sa[j], sb[j], ss[j] = false, r, c.A, c.B, c.S
-				}
-				p0.EvalSlice(v0[:n], rs[:n])
-				p1.EvalSlice(v1[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if !sp[j] {
-						dst[off+j] = ss[j] * (sa[j]*v1[j] + sb[j]*v0[j])
-					}
-				}
-			}
-		}
-	case *rangered.SinPiFamily:
-		p0, p1 := f.pieces[0], f.pieces[1]
-		return func(dst, xs []float64) {
-			var rs, v0, v1, sa, sb, ss [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					x := xs[off+j]
-					if y, ok := fam.Special(x); ok {
-						dst[off+j] = y
-						sp[j], rs[j] = true, 0
-						continue
-					}
-					r, c := fam.Reduce(x)
-					sp[j], rs[j], sa[j], sb[j], ss[j] = false, r, c.A, c.B, c.S
-				}
-				p0.EvalSlice(v0[:n], rs[:n])
-				p1.EvalSlice(v1[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if !sp[j] {
-						dst[off+j] = ss[j] * (sa[j]*v1[j] + sb[j]*v0[j])
-					}
-				}
-			}
-		}
-	case *rangered.CosPiFamily:
-		p0, p1 := f.pieces[0], f.pieces[1]
-		return func(dst, xs []float64) {
-			var rs, v0, v1, sa, sb, ss [bchunk]float64
-			var sp [bchunk]bool
-			for off := 0; off < len(xs); off += bchunk {
-				n := len(xs) - off
-				if n > bchunk {
-					n = bchunk
-				}
-				for j := 0; j < n; j++ {
-					x := xs[off+j]
-					if y, ok := fam.Special(x); ok {
-						dst[off+j] = y
-						sp[j], rs[j] = true, 0
-						continue
-					}
-					r, c := fam.Reduce(x)
-					sp[j], rs[j], sa[j], sb[j], ss[j] = false, r, c.A, c.B, c.S
-				}
-				p0.EvalSlice(v0[:n], rs[:n])
-				p1.EvalSlice(v1[:n], rs[:n])
-				for j := 0; j < n; j++ {
-					if !sp[j] {
-						dst[off+j] = ss[j] * (sa[j]*v1[j] + sb[j]*v0[j])
-					}
-				}
-			}
-		}
-	}
-	return func(dst, xs []float64) {
-		for i, x := range xs {
-			dst[i] = f.eval(x)
-		}
-	}
-}
-
 // Float32SliceImpls returns the generated float32 batch evaluators
 // keyed by function name. Each writes f(xs[i]) into dst[i] for every
 // element of xs. Contract: a zero-length xs is a no-op; if dst is
@@ -435,7 +114,7 @@ func compileSlice64(f *impl) func(dst []float64, xs []float64) {
 func Float32SliceImpls() map[string]func(dst, xs []float32) {
 	out := make(map[string]func(dst, xs []float32), len(float32Impls))
 	for _, f := range float32Impls {
-		k := compileSliceAuto(f)
+		k, _ := fusedSlice32(f)
 		out[f.name] = func(dst, xs []float32) {
 			if len(xs) == 0 {
 				return
@@ -454,7 +133,10 @@ func Float32SliceImpls() map[string]func(dst, xs []float32) {
 func Posit32SliceImpls() map[string]func(dst, xs []float64) {
 	out := make(map[string]func(dst, xs []float64), len(posit32Impls))
 	for _, f := range posit32Impls {
-		k := compileSliceAuto64(f)
+		k := fusedSlice[float64](f)
+		if k == nil {
+			k = scalarSlice[float64](compile(f))
+		}
 		out[f.name] = func(dst, xs []float64) {
 			if len(xs) == 0 {
 				return

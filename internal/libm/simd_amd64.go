@@ -16,11 +16,11 @@ import (
 // vector registers. The assembly follows kernel.go's exp lane step for
 // step; see simd_amd64.s. Per-lane semantics are bit-identical:
 // VMULPD/VADDPD/VSUBPD are IEEE double mul/add/sub exactly like their
-// scalar Go counterparts, VFMADD231PD is math.FMA, and the per-sign
-// coefficient pick is a VBLENDVPD on r's sign bit instead of the
-// scalar row index — same coefficients, same arithmetic, same result
-// to the last bit. The parity sweep (parity_test.go) drives this path
-// against the scalar evaluator like any other kernel.
+// scalar Go counterparts, and the per-sign coefficient pick is a
+// VBLENDVPD on r's sign bit instead of the scalar row index — same
+// coefficients, same arithmetic, same result to the last bit. The
+// parity sweep (parity_test.go) drives this path against the scalar
+// evaluator like any other kernel.
 //
 // Special-case inputs are flagged conservatively (one unsigned
 // integer band compare on |x|'s bits — anything outside
@@ -33,12 +33,10 @@ import (
 func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
-// expAVX2Exact and expAVX2FMA evaluate n elements (n % 4 == 0, n > 0)
-// of the exp lane with the validated-Horner and Estrin/FMA polynomial
-// cores respectively. The return value is nonzero iff any input was
-// flagged (conservatively) as special.
+// expAVX2Exact evaluates n elements (n % 4 == 0, n > 0) of the exp
+// lane with the validated Horner polynomial core. The return value is
+// nonzero iff any input was flagged (conservatively) as special.
 func expAVX2Exact(dst, xs *float32, n int, c *expAsmConsts) (bad int)
-func expAVX2FMA(dst, xs *float32, n int, c *expAsmConsts) (bad int)
 
 // expAsmConsts is the constant block the assembly kernels broadcast
 // from. Field order and offsets are hard-coded in simd_amd64.s —
@@ -64,11 +62,9 @@ type expAsmConsts struct {
 	ttab  *[64]float64 // 200
 }
 
-// logAVX2Exact and logAVX2FMA are the log-family counterparts of the
-// exp kernels (same n % 4 == 0 contract, same conservative flag
-// return).
+// logAVX2Exact is the log-family counterpart of expAVX2Exact (same
+// n % 4 == 0 contract, same conservative flag return).
 func logAVX2Exact(dst, xs *float32, n int, c *logAsmConsts) (bad int)
-func logAVX2FMA(dst, xs *float32, n int, c *logAsmConsts) (bad int)
 
 // logAsmConsts is the log kernels' constant block; same append-only
 // offset contract as expAsmConsts.
@@ -94,31 +90,26 @@ type logAsmConsts struct {
 	co       *float64 // 144
 }
 
-// simdAVX2 and simdFMA3 report hardware support, probed once at init:
-// AVX2 + OS YMM state for the exact kernel, plus FMA3 for the Estrin
-// kernel.
-var simdAVX2, simdFMA3 = probeAVX2()
+// simdAVX2 reports hardware support, read once at init from CPUID:
+// AVX2 plus OS-enabled YMM state.
+var simdAVX2 = probeAVX2()
 
-func probeAVX2() (avx2, fma3 bool) {
+func probeAVX2() bool {
 	maxID, _, _, _ := cpuidex(0, 0)
 	if maxID < 7 {
-		return false, false
+		return false
 	}
 	_, _, c1, _ := cpuidex(1, 0)
 	const osxsave = 1 << 27
 	const avx = 1 << 28
-	const fma = 1 << 12
 	if c1&osxsave == 0 || c1&avx == 0 {
-		return false, false
+		return false
 	}
 	if xmmYmm, _ := xgetbv0(); xmmYmm&6 != 6 {
-		return false, false
+		return false
 	}
 	_, b7, _, _ := cpuidex(7, 0)
-	if b7&(1<<5) == 0 {
-		return false, false
-	}
-	return true, c1&fma != 0
+	return b7&(1<<5) != 0
 }
 
 // simdLogSlice builds the AVX2 float32 batch evaluator for a log
@@ -128,8 +119,8 @@ func probeAVX2() (avx2, fma3 bool) {
 // for the whole ordinary range. m̂ ∈ [1,2) holds for every bit
 // pattern, so r ≥ 0 on all lanes and the assembly's signed clamps
 // agree with the scalar kernel's unsigned ones everywhere.
-func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64, fma bool, goKern func(dst, xs []float32)) func(dst, xs []float32) {
-	if !simdAVX2 || (fma && !simdFMA3) {
+func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float64) float64, goKern func(dst, xs []float32)) func(dst, xs []float32) {
+	if !simdAVX2 {
 		return nil
 	}
 	tb := uint(fam.TabBits)
@@ -155,14 +146,10 @@ func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float
 		co:       &pt.Coeffs[0],
 	}
 	ord := func(x float64) bool { return ordNormalPositive(math.Float64bits(x)) }
-	kern := logAVX2Exact
-	if fma {
-		kern = logAVX2FMA
-	}
 	return func(dst, xs []float32) {
 		n4 := len(xs) &^ 3
 		if n4 > 0 {
-			if bad := kern(&dst[0], &xs[0], n4, c); bad != 0 {
+			if bad := logAVX2Exact(&dst[0], &xs[0], n4, c); bad != 0 {
 				fixupSpecials(dst[:n4], xs[:n4], sc, ord)
 			}
 		}
@@ -176,9 +163,9 @@ func simdLogSlice(fam *rangered.LogFamily, pt *piecewise.Prepared, sc func(float
 // exponential family, or returns nil when the hardware can't run it
 // (the caller falls back to the pure-Go kernel, which is also used
 // here for the n%4 tail). goKern must be the pure-Go kernel for the
-// same (family, path) pair.
-func simdExpSlice(fam *rangered.ExpFamily, co []float64, sc func(float64) float64, fma bool, goKern func(dst, xs []float32)) func(dst, xs []float32) {
-	if !simdAVX2 || (fma && !simdFMA3) {
+// same family.
+func simdExpSlice(fam *rangered.ExpFamily, co []float64, sc func(float64) float64, goKern func(dst, xs []float32)) func(dst, xs []float32) {
+	if !simdAVX2 {
 		return nil
 	}
 	// Conservative ordinary band on |x| bits: everything at or below
@@ -211,14 +198,10 @@ func simdExpSlice(fam *rangered.ExpFamily, co []float64, sc func(float64) float6
 	ord := func(x float64) bool {
 		return x > undHi && x < ovfLo && (x < tinyLo || x > tinyHi)
 	}
-	kern := expAVX2Exact
-	if fma {
-		kern = expAVX2FMA
-	}
 	return func(dst, xs []float32) {
 		n4 := len(xs) &^ 3
 		if n4 > 0 {
-			if bad := kern(&dst[0], &xs[0], n4, c); bad != 0 {
+			if bad := expAVX2Exact(&dst[0], &xs[0], n4, c); bad != 0 {
 				fixupSpecials(dst[:n4], xs[:n4], sc, ord)
 			}
 		}

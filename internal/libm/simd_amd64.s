@@ -27,7 +27,7 @@
 #define C_CNEG   160
 #define C_TTAB   200
 
-// Shared prologue: load args, hoist loop-invariant broadcasts.
+// Prologue: load args, hoist loop-invariant broadcasts.
 //   DI=dst SI=xs CX=n R9=consts R8=ttab
 //   Y8=invC Y9=chi Y10=clo Y11=sign Y15=abs Y14=good(all ones)
 #define EXP_PROLOGUE \
@@ -43,7 +43,7 @@
 	VPBROADCASTQ C_ABS(R9), Y15   \
 	VPCMPEQQ Y14, Y14, Y14
 
-// Per-iteration front half, identical for both polynomial cores:
+// Per-iteration front half:
 // widen 4 floats (Y0 = x), conservative special guard into Y14,
 // k = roundHalfAway(x·invC) (Y1), r = (x−k·chi)−k·clo (Y2),
 // a = 2^(ki>>6)·ttab[ki&63] (Y3).
@@ -146,29 +146,6 @@ exactloop:
 	JNZ exactloop
 	EXP_EPILOGUE
 
-// func expAVX2FMA(dst, xs *float32, n int, c *expAsmConsts) (bad int)
-//
-// Polynomial core: the Estrin split of piecewise.Dense5FMA —
-// r² = r·r; lo = fma(c1,r,c0); hi = fma(c3,r,fma(c4,r²,c2));
-// p = fma(hi,r²,lo) — per-lane bit-identical to the Go FMA kernel.
-TEXT ·expAVX2FMA(SB), NOSPLIT, $0-40
-	EXP_PROLOGUE
-fmaloop:
-	EXP_LANE_FRONT
-	VMULPD Y2, Y2, Y12            // r²
-	COEFF(C_CPOS+0, C_CNEG+0, Y5, Y7)
-	COEFF(C_CPOS+8, C_CNEG+8, Y5, Y4)
-	VFMADD231PD Y2, Y4, Y7        // lo = c1·r + c0
-	COEFF(C_CPOS+16, C_CNEG+16, Y5, Y13)
-	COEFF(C_CPOS+32, C_CNEG+32, Y5, Y4)
-	VFMADD231PD Y12, Y4, Y13      // t = c4·r² + c2
-	COEFF(C_CPOS+24, C_CNEG+24, Y5, Y4)
-	VFMADD231PD Y2, Y4, Y13       // hi = c3·r + t
-	VFMADD231PD Y12, Y13, Y7      // p = hi·r² + lo
-	EXP_LANE_BACK
-	JNZ fmaloop
-	EXP_EPILOGUE
-
 // logAsmConsts field offsets (simd_amd64.go — append-only struct).
 #define L_SCALE  0
 #define L_INVSC  8
@@ -190,7 +167,7 @@ fmaloop:
 #define L_FTAB   136
 #define L_CO     144
 
-// Shared prologue: DI=dst SI=xs CX=n R9=consts R11=ftab R10=co
+// Prologue: DI=dst SI=xs CX=n R9=consts R11=ftab R10=co
 //   Y8=scale Y9=invScale Y10=lb2 Y11=sign Y15=magicSub Y14=good
 #define LOG_PROLOGUE \
 	MOVQ dst+0(FP), DI            \
@@ -291,22 +268,6 @@ lexactloop:
 	VADDPD Y7, Y4, Y4
 	LOG_LANE_BACK
 	JNZ lexactloop
-	EXP_EPILOGUE
-
-// func logAVX2FMA(dst, xs *float32, n int, c *logAsmConsts) (bad int)
-//
-// Polynomial core: q = fma(fma(c2,r,c1),r,c0) — per-lane
-// bit-identical to piecewise.QuadFMA; the a + q·r compensation stays
-// unfused, exactly like the Go kernel.
-TEXT ·logAVX2FMA(SB), NOSPLIT, $0-40
-	LOG_PROLOGUE
-lfmaloop:
-	LOG_LANE_FRONT
-	VFMADD231PD Y2, Y13, Y12      // c1 += c2·r
-	VFMADD231PD Y2, Y12, Y7       // c0 += (c2·r+c1)·r
-	VMOVAPD Y7, Y4
-	LOG_LANE_BACK
-	JNZ lfmaloop
 	EXP_EPILOGUE
 
 // func cpuidex(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -4,8 +4,6 @@ import (
 	"math"
 	"time"
 
-	"rlibm32/internal/libm"
-
 	rlibm "rlibm32"
 )
 
@@ -23,30 +21,31 @@ import (
 // with, so the ratios are internally consistent even though absolute
 // numbers drift with machine load.
 //
-// Every roofline run doubles as a correctness gate: each kernel path
-// is swept against the scalar correctly rounded evaluator on a mixed
-// ordinary+special input array, bit for bit. CI runs this (see the
+// Every roofline run doubles as a correctness gate: the served batch
+// kernel is swept against the scalar correctly rounded evaluator on a
+// mixed ordinary+special input array, bit for bit, and a function
+// whose kernel or scalar evaluator cannot be looked up fails the gate
+// rather than dropping out of the table. CI runs this (see the
 // bench-smoke job) so a perf regression hunt can never silently trade
 // away correct rounding.
 
 // RooflineRow is one function's roofline entry.
 type RooflineRow struct {
 	Func string
-	// Kind is the kernel EvalSlice selects (simd-exact, go-fma, ...).
+	// Kind is the kernel EvalSlice serves (simd, go or scalar).
 	Kind string
-	// StagedNs is the pre-kernel staged pipeline — the "before" side.
-	StagedNs float64
-	// ExactNs and FMANs are the fused kernel's two polynomial paths;
-	// SelectedNs is the path EvalSlice actually serves.
-	ExactNs, FMANs, SelectedNs float64
+	// ScalarNs is the scalar entry point (rlibm.Func) in a loop — the
+	// "before" side; SelectedNs is the batch kernel EvalSlice serves.
+	ScalarNs, SelectedNs float64
 	// Flops counts the lane's double-precision arithmetic ops per
 	// value (divides weighted ×4); static per family, see laneFlops.
 	Flops int
 	// MemBoundNs and CompBoundNs are the two ceilings for this
 	// function on this machine run.
 	MemBoundNs, CompBoundNs float64
-	// ParityOK records the bit-exact sweep of all three paths against
-	// the scalar evaluator over the mixed ordinary+special array.
+	// ParityOK records the bit-exact sweep of the selected kernel
+	// against the scalar evaluator over the mixed ordinary+special
+	// array; it is false when either one could not be looked up.
 	ParityOK bool
 }
 
@@ -59,10 +58,7 @@ type Roofline struct {
 	// StreamNs is the measured per-value cost of a float32
 	// load+store streaming loop — the memory/loop-overhead floor.
 	StreamNs float64
-	// KernelPath and KernelPathReason echo the runtime's fma/exact
-	// probe decision.
-	KernelPath, KernelPathReason string
-	Rows                         []RooflineRow
+	Rows     []RooflineRow
 }
 
 // laneFlops is the per-value double-precision arithmetic op count of
@@ -175,46 +171,31 @@ func checkParity(k func(dst, xs []float32), sf func(float32) float32, xs []float
 }
 
 // MeasureRoofline runs the full harness over every float32 function:
-// machine ceilings once, then per function the staged pipeline, both
-// kernel paths, the selected path, and the parity gate. n is the
-// batch size (the public benchmarks use 1024), reps the repetitions
-// per timing pass.
+// machine ceilings once, then per function the scalar entry point, the
+// selected batch kernel and the parity gate — one row per function,
+// always. n is the batch size (the public benchmarks use 1024), reps
+// the repetitions per timing pass.
 func MeasureRoofline(n, reps int) Roofline {
 	rl := Roofline{
 		MulAddNs: measureMulAdd(),
 		StreamNs: measureStream(n, reps),
 	}
-	rl.KernelPath, rl.KernelPathReason = rlibm.KernelPath()
 	for _, name := range rlibm.Names() {
-		staged, ok1 := libm.StagedSlice32(name)
-		exact, fmak, ok2 := libm.KernelPaths32(name)
-		selected, ok3 := rlibm.FuncSlice(name)
-		sf, ok4 := rlibm.Func(name)
-		if !ok1 || !ok2 || !ok3 || !ok4 {
-			continue
+		row := RooflineRow{Func: name, Kind: rlibm.KernelKind(name), Flops: laneFlops(name)}
+		selected, ok1 := rlibm.FuncSlice(name)
+		sf, ok2 := rlibm.Func(name)
+		if ok1 && ok2 {
+			xs := Float32Inputs(name, n)
+			row.ScalarNs = MeasureFloat32(sf, xs, reps)
+			row.SelectedNs = MeasureFloat32Batch(selected, xs, reps)
+			width := 1.0
+			if row.Kind == "simd" {
+				width = 4
+			}
+			row.MemBoundNs = rl.StreamNs
+			row.CompBoundNs = float64(row.Flops) * rl.MulAddNs / width
+			row.ParityOK = checkParity(selected, sf, parityInputs(name, n))
 		}
-		kind := rlibm.KernelKind(name)
-		xs := Float32Inputs(name, n)
-		row := RooflineRow{
-			Func:       name,
-			Kind:       kind,
-			StagedNs:   MeasureFloat32Batch(staged, xs, reps),
-			ExactNs:    MeasureFloat32Batch(exact, xs, reps),
-			FMANs:      MeasureFloat32Batch(fmak, xs, reps),
-			SelectedNs: MeasureFloat32Batch(selected, xs, reps),
-			Flops:      laneFlops(name),
-		}
-		width := 1.0
-		if len(kind) > 4 && kind[:4] == "simd" {
-			width = 4
-		}
-		row.MemBoundNs = rl.StreamNs
-		row.CompBoundNs = float64(row.Flops) * rl.MulAddNs / width
-		pxs := parityInputs(name, n)
-		row.ParityOK = checkParity(exact, sf, pxs) &&
-			checkParity(fmak, sf, pxs) &&
-			checkParity(selected, sf, pxs) &&
-			checkParity(staged, sf, pxs)
 		rl.Rows = append(rl.Rows, row)
 	}
 	return rl

@@ -163,83 +163,6 @@ func (t *Table) Eval(r float64) float64 {
 	return EvalPoly(t.Kind, t.Terms, row, r)
 }
 
-// EvalSlice evaluates the piecewise polynomial at every rs[i] into
-// dst[i], bit-identical to per-element Eval. The kind/degree dispatch
-// and table field loads are hoisted out of the loop, so the body of
-// each fast path is straight-line arithmetic with no calls — adjacent
-// elements overlap in the CPU pipeline instead of serializing behind
-// per-element call overhead.
-func (t *Table) EvalSlice(dst, rs []float64) {
-	shift := t.Shift
-	minB, maxB := t.MinBits, t.MaxBits
-	mask := uint64(1)<<t.N - 1
-	co := t.Coeffs
-	nt := len(t.Terms)
-	switch {
-	case t.Kind == Dense && nt == 5:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*5:]
-			dst[i] = (((c[4]*r+c[3])*r+c[2])*r+c[1])*r + c[0]
-		}
-	case t.Kind == Dense && nt == 4:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*4:]
-			dst[i] = ((c[3]*r+c[2])*r+c[1])*r + c[0]
-		}
-	case t.Kind == Odd && nt == 3:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*3:]
-			r2 := r * r
-			dst[i] = ((c[2]*r2+c[1])*r2 + c[0]) * r
-		}
-	case t.Kind == Even && nt == 3:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*3:]
-			r2 := r * r
-			dst[i] = (c[2]*r2+c[1])*r2 + c[0]
-		}
-	case t.Kind == NoConst && nt == 3:
-		for i, r := range rs {
-			b := math.Float64bits(r) &^ (1 << 63)
-			if b < minB {
-				b = minB
-			} else if b > maxB {
-				b = maxB
-			}
-			c := co[int((b>>shift)&mask)*3:]
-			dst[i] = ((c[2]*r+c[1])*r + c[0]) * r
-		}
-	default:
-		for i, r := range rs {
-			dst[i] = t.Eval(r)
-		}
-	}
-}
-
 // Degree returns the maximum monomial exponent.
 func (t *Table) Degree() int {
 	d := 0

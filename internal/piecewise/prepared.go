@@ -1,9 +1,6 @@
 package piecewise
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // Prepared is the batch-kernel evaluation layout of a Table: the same
 // coefficients, re-packed so the hot loop needs no multiplies, no
@@ -72,13 +69,23 @@ func (t *Table) Prepare() *Prepared {
 	}
 }
 
-// Row returns the padded coefficient row for a reduced input r, keyed
-// branchlessly: the sign bit is masked off, the magnitude bits are
-// clamped to [MinBits, MaxBits] with min/max (compiled to conditional
-// moves, not branches), and the sub-domain bits select the row.
-func (p *Prepared) Row(r float64) []float64 {
-	b := math.Float64bits(r) &^ (1 << 63)
-	b = min(max(b, p.MinBits), p.MaxBits)
-	i := int((b>>p.Shift)&p.Mask) << p.RowShift
-	return p.Coeffs[i:]
+// The generated polynomials come in exactly two arithmetic cores: a
+// three-coefficient quadratic Q(y) = c0 + c1·y + c2·y² (the NoConst,
+// Odd and Even kinds evaluate Q at y = x or y = x² and multiply by x
+// as needed) and a five-coefficient dense quartic (the exponential
+// families). The batch kernels call these forms on coefficients they
+// hoisted themselves; each repeats, token for token, the Horner
+// sequence EvalPoly runs and the generator validated, so the kernels'
+// results are bit-identical to the scalar library by construction.
+
+// QuadExact evaluates c0 + c1·y + c2·y² with the validated Horner
+// sequence: (c2·y + c1)·y + c0.
+func QuadExact(c0, c1, c2, y float64) float64 {
+	return (c2*y+c1)*y + c0
+}
+
+// Dense5Exact evaluates the dense quartic with the validated Horner
+// sequence.
+func Dense5Exact(c0, c1, c2, c3, c4, r float64) float64 {
+	return (((c4*r+c3)*r+c2)*r+c1)*r + c0
 }

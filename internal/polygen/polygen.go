@@ -151,61 +151,6 @@ func (p *Piecewise) Eval(r float64) float64 {
 	return t.Eval(r)
 }
 
-// EvalFMA evaluates the approximation at r with the FMA-contracted
-// polynomial core the batch kernels use (see piecewise.EvalPolyFMA);
-// gentool's admissibility pass compares it against Eval.
-func (p *Piecewise) EvalFMA(r float64) float64 {
-	t := p.Pos
-	if r < 0 && p.Neg != nil {
-		t = p.Neg
-	}
-	return t.EvalFMA(r)
-}
-
-// EvalSlice evaluates the approximation at every rs[i] into dst[i],
-// bit-identical to per-element Eval. Sign-homogeneous piecewise tables
-// stream straight through Table.EvalSlice; per-sign pairs partition
-// each chunk by sign so both tables still run their branch-free loops
-// over contiguous inputs.
-func (p *Piecewise) EvalSlice(dst, rs []float64) {
-	pos, neg := p.Pos, p.Neg
-	if neg == nil {
-		pos.EvalSlice(dst, rs)
-		return
-	}
-	if pos == nil {
-		neg.EvalSlice(dst, rs)
-		return
-	}
-	const chunk = 256
-	var nr, pr, nv, pv [chunk]float64
-	var ni, pi [chunk]int32
-	for off := 0; off < len(rs); off += chunk {
-		n := len(rs) - off
-		if n > chunk {
-			n = chunk
-		}
-		k, m := 0, 0
-		for j := 0; j < n; j++ {
-			if r := rs[off+j]; r < 0 {
-				nr[k], ni[k] = r, int32(j)
-				k++
-			} else {
-				pr[m], pi[m] = r, int32(j)
-				m++
-			}
-		}
-		neg.EvalSlice(nv[:k], nr[:k])
-		pos.EvalSlice(pv[:m], pr[:m])
-		for j := 0; j < k; j++ {
-			dst[off+int(ni[j])] = nv[j]
-		}
-		for j := 0; j < m; j++ {
-			dst[off+int(pi[j])] = pv[j]
-		}
-	}
-}
-
 // NumPolynomials sums the sub-domain counts of both tables.
 func (p *Piecewise) NumPolynomials() int {
 	n := 0

@@ -76,32 +76,6 @@ func (f *ExpFamily) Reduce(x float64) (float64, Ctx) {
 	return r, Ctx{A: a, S: 1}
 }
 
-// ReduceSlice is the batch form of Special+Reduce for one chunk: each
-// ordinary xs[i] gets rs[i] = r, as[i] = A and sp[i] = false; each
-// special input gets sp[i] = true, rs[i] = 0 and as[i] = its final
-// result. The loop body repeats Reduce's exact operation sequence
-// (keep the two in sync) with the constants hoisted out of the loop,
-// so the per-element work is call-free and pipelines across elements.
-func (f *ExpFamily) ReduceSlice(rs, as []float64, sp []bool, xs []float64) {
-	invC, chi, clo := f.InvC, f.CHi, f.CLo
-	ovfLo, undHi, tinyLo, tinyHi := f.OvfLo, f.UndHi, f.TinyLo, f.TinyHi
-	ttab := f.TTab
-	for i, x := range xs {
-		// NaN fails every comparison below, so check it first.
-		if math.IsNaN(x) || x >= ovfLo || x <= undHi || (tinyLo <= x && x <= tinyHi) {
-			y, _ := f.Special(x)
-			sp[i], rs[i], as[i] = true, 0, y
-			continue
-		}
-		k := math.Round(x * invC)
-		r := (x - k*chi) - k*clo
-		ki := int(k)
-		m := ki >> 6
-		j := ki - (m << 6) // j = k mod 64 ∈ [0, 64)
-		sp[i], rs[i], as[i] = false, r, Exp2i(m)*ttab[j]
-	}
-}
-
 // OC implements Family: base^x = A · base^r.
 func (f *ExpFamily) OC(vals [2]float64, c Ctx) float64 {
 	return c.A * vals[0]

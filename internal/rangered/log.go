@@ -109,43 +109,6 @@ func (f *LogFamily) Reduce(x float64) (float64, Ctx) {
 	return r, Ctx{A: a, S: 1}
 }
 
-// ReduceSlice is the batch form of Special+Reduce for one chunk: each
-// ordinary xs[j] gets rs[j] = r, as[j] = A and sp[j] = false; each
-// special input gets sp[j] = true, rs[j] = 0 and as[j] = its final
-// result. The loop body repeats Reduce's exact operation sequence
-// (keep the two in sync — every step is shared verbatim with the
-// generator) with the table parameters hoisted out of the loop, so the
-// per-element work is call-free and pipelines across elements.
-func (f *LogFamily) ReduceSlice(rs, as []float64, sp []bool, xs []float64) {
-	tb := uint(f.TabBits)
-	scale := float64(int(1) << tb)
-	invScale := math.Float64frombits(uint64(1023-tb) << 52)
-	lb2 := f.Scale
-	ftab := f.FTab
-	inf := math.Inf(1)
-	for i, x := range xs {
-		if !(x > 0 && x < inf) {
-			y, _ := f.Special(x)
-			sp[i], rs[i], as[i] = true, 0, y
-			continue
-		}
-		b := math.Float64bits(x)
-		var mhat float64
-		var ep int
-		if be := int(b >> 52 & 0x7ff); be != 0 {
-			mhat = math.Float64frombits(b&(1<<52-1) | 0x3ff<<52)
-			ep = be - 1023
-		} else {
-			fr, e := math.Frexp(x)
-			mhat = 2 * fr
-			ep = e - 1
-		}
-		j := int((mhat - 1) * scale)
-		F := 1 + float64(j)*invScale
-		sp[i], rs[i], as[i] = false, (mhat-F)/F, float64(ep)*lb2+ftab[j]
-	}
-}
-
 // OC implements Family: log_b(x) = A + log_b(1+r).
 func (f *LogFamily) OC(vals [2]float64, c Ctx) float64 {
 	return c.A + vals[0]

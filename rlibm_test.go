@@ -206,6 +206,23 @@ func TestFuncLookup(t *testing.T) {
 	}
 }
 
+// TestKernelPathShape pins the kernel introspection telemetry and
+// benchmark records read: one polynomial path, the validated exact
+// core, and a fused kernel (simd or go) serving every function.
+func TestKernelPathShape(t *testing.T) {
+	if path, reason := rlibm.KernelPath(); path != "exact" || reason != "validated" {
+		t.Errorf("KernelPath() = (%q, %q), want (exact, validated)", path, reason)
+	}
+	for _, name := range rlibm.Names() {
+		if k := rlibm.KernelKind(name); k != "simd" && k != "go" {
+			t.Errorf("KernelKind(%q) = %q, want simd or go", name, k)
+		}
+	}
+	if k := rlibm.KernelKind("nope"); k != "" {
+		t.Errorf("KernelKind(nope) = %q, want empty", k)
+	}
+}
+
 // TestSliceAgreesWithScalar is the batch-kernel contract: every XxxSlice
 // and EvalSlice result is bit-identical to the scalar function, across
 // domain-spanning samples plus the special values (±0, ±Inf, NaN,

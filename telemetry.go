@@ -24,8 +24,8 @@ type sliceTelemetry struct {
 	// kernels' fixed per-batch costs amortize.
 	widths *telemetry.Histogram
 	// pathByFunc counts batches by the kernel kind serving them
-	// (simd-exact/simd-fma/go-exact/go-fma/staged) — the runtime answer
-	// to "is this deployment on the vector path or a fallback?". The
+	// (simd/go/scalar) — the runtime answer to "is this deployment on
+	// the vector path or a fallback?". The
 	// kind is resolved per function once at enable time; functions with
 	// the same kind share a counter.
 	pathByFunc map[string]*telemetry.Counter
@@ -63,13 +63,13 @@ func EnableTelemetry(reg *telemetry.Registry) {
 // DisableTelemetry restores the default silent mode.
 func DisableTelemetry() { sliceTel.Store(nil) }
 
-// KernelPath reports the batch polynomial path the runtime selected
-// ("fma" or "exact") and how ("probe" or "env" for an RLIBM_FMA
-// override). rlibmtop and the roofline harness surface it.
-func KernelPath() (path, reason string) { return libm.KernelPath() }
+// KernelPath reports the batch polynomial path the runtime serves and
+// why. There is one: "exact", the generator-validated Horner sequence
+// the correctness proof covers, so the reason is always "validated".
+func KernelPath() (path, reason string) { return "exact", "validated" }
 
 // KernelKind reports which batch kernel EvalSlice runs for the named
-// function: "simd-exact"/"simd-fma" (AVX2 vector kernels),
-// "go-exact"/"go-fma" (pure-Go fused kernels), or "staged" (the
-// structural fallback). Empty for unknown names.
+// function: "simd" (AVX2 vector kernel), "go" (pure-Go fused kernel),
+// or "scalar" (a loop over the scalar evaluator, the fallback for a
+// table shape no fused kernel covers). Empty for unknown names.
 func KernelKind(name string) string { return libm.KernelKind32(name) }
