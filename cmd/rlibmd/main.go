@@ -9,14 +9,13 @@
 //
 // The admin listener exports Prometheus text metrics (per-function
 // request/value/busy counts, latency histograms, coalescing stats,
-// oracle cache and Ziv-ladder counters) at /metrics, the same data in
-// legacy expvar shape at /debug/vars, and the standard pprof endpoints
-// at /debug/pprof/. The always-on flight recorder keeps the last few
-// thousand wide events in memory, serves them at /debug/flight, and
-// dumps them to -flight-dir as JSON when an anomaly trigger fires
-// (SIGQUIT, a sustained BUSY fraction, or an external hit on
-// /debug/flight/trigger). SIGINT/SIGTERM trigger a graceful drain:
-// in-flight requests finish, then the process exits.
+// oracle cache and Ziv-ladder counters) at /metrics and the standard
+// pprof endpoints at /debug/pprof/. The always-on flight recorder
+// keeps the last few thousand wide events in memory, serves them at
+// /debug/flight, and dumps them to -flight-dir as JSON when an anomaly
+// trigger fires (SIGQUIT, a sustained BUSY fraction, or an external
+// hit on /debug/flight/trigger). SIGINT/SIGTERM trigger a graceful
+// drain: in-flight requests finish, then the process exits.
 package main
 
 import (
@@ -38,7 +37,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7043", "serve address")
-	admin := flag.String("admin", "", "admin (expvar + pprof) address; empty disables")
+	admin := flag.String("admin", "", "admin (/metrics, pprof, flight recorder) address; empty disables")
 	workers := flag.Int("workers", 0, "evaluation workers (default GOMAXPROCS)")
 	maxFrame := flag.Int("max-frame", server.DefaultMaxFrame, "max frame payload bytes")
 	maxBatch := flag.Int("max-batch", 1<<16, "max values per coalesced kernel dispatch")
@@ -65,7 +64,6 @@ func main() {
 		FlightEvents: *flightEvents,
 		BusyDumpFrac: *busyDumpFrac,
 	})
-	s.Metrics().Publish()
 	// Everything the process observes lands on one registry: the oracle
 	// cache/Ziv counters (exercised by any server-side verification
 	// tooling) and the EvalSlice batch counters join the server's own

@@ -28,9 +28,9 @@
 // summary.
 //
 // With -trace-frac F (0 < F <= 1), roughly that fraction of each
-// connection's requests carries a distributed-trace context (protocol
-// v2): the server — and, through a proxy, every backend the request
-// visited — returns per-stage span events, and the run ends with an
+// connection's requests carries a nonzero trace id in its frame's
+// trace block: the server — and, through a proxy, every backend the
+// request visited — returns per-stage span events, and the run ends with an
 // end-to-end latency waterfall (client issue/flush, proxy
 // admit/ring-walk/forward, backend queue/coalesce/kernel).
 // -trace-out writes the collected spans as one stitched Chrome-trace
@@ -258,10 +258,10 @@ func nextTraceID() uint64 {
 // noteTrace collects one traced call's stitchable spans: a synthesized
 // client.rpc span (issue to completion) and client.flush span (issue
 // to the flush that put the frame on the wire), plus every span the
-// response relayed from the proxy and backend. A call whose peer never
-// negotiated v2 has IssuedNs == 0 and contributes nothing.
+// response relayed from the proxy and backend. Collection stops at
+// maxTraceSpans.
 func (st *connStats) noteTrace(traceID uint64, call *server.Call, endNs int64) {
-	if call.IssuedNs == 0 || len(st.spans) >= maxTraceSpans {
+	if len(st.spans) >= maxTraceSpans {
 		return
 	}
 	st.traced++
@@ -385,10 +385,8 @@ func runPipelined(c *server.Client, st *connStats, work []workload, code uint8, 
 		sl.traceID = 0
 		if traceEvery > 0 && i%traceEvery == 0 {
 			sl.traceID = nextTraceID()
-			c.GoTraced(code, w.name, sl.dst[:hi-lo], w.in[lo:hi], done, uint64(si), sl.traceID, 0)
-		} else {
-			c.GoTagged(code, w.name, sl.dst[:hi-lo], w.in[lo:hi], done, uint64(si))
 		}
+		c.GoTraced(code, w.name, sl.dst[:hi-lo], w.in[lo:hi], done, uint64(si), sl.traceID, 0)
 	}
 	inflight := 0
 	for si := 0; si < depth; si++ {
@@ -524,16 +522,6 @@ func main() {
 				return
 			}
 			defer c.Close()
-			if traceEvery > 0 {
-				// One ping before load: its response carries the peer's
-				// protocol-version advertisement, so the very first
-				// traced request can already go out at v2 instead of
-				// silently degrading until some response negotiates.
-				if err := c.Ping(); err != nil {
-					st.transport++
-					return
-				}
-			}
 			if *pipeline > 0 {
 				runPipelined(c, st, work, code, *batch, *pipeline, ci, stop, *verify, traceEvery)
 			} else {

@@ -108,15 +108,6 @@ func TestPerFrameSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// Negotiate v2 up front: the pad-byte advertisement arms the trace
-	// branches on both ends, so the untraced loop below proves the
-	// flags-word check itself costs no allocations.
-	if err := c.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if v := c.PeerVersion(); v != MaxProtoVersion {
-		t.Fatalf("peer version %d after ping, want %d", v, MaxProtoVersion)
-	}
 	in, _ := expWorkload(256)
 	dst := make([]uint32, len(in))
 	run := func(n int) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -47,11 +46,12 @@ type Call struct {
 	Done   chan *Call // receives the Call on completion; cap ≥ 1
 	Tag    uint64     // caller scratch (e.g. a slot index); not touched
 
-	// Trace context (GoTraced). TraceID != 0 makes the writer encode a
-	// v2 frame; on completion it holds the trace id echoed by the
-	// server, Spans the per-stage records the response carried, and
-	// IssuedNs/SentNs the client-side issue and flush timestamps (unix
-	// ns) for the client.rpc / client.flush spans.
+	// Trace context (GoTraced). The writer encodes TraceID into the
+	// frame's trace block (0 = untraced); on completion it holds the
+	// trace id echoed by the server, Spans the per-stage records the
+	// response carried, and IssuedNs/SentNs the client-side issue and
+	// flush timestamps (unix ns) for the client.rpc / client.flush
+	// spans.
 	TraceID  uint64
 	Spans    []telemetry.SpanRecord
 	IssuedNs int64
@@ -115,11 +115,6 @@ type Client struct {
 	quit     chan struct{} // closed once on Close or transport failure
 	quitOnce sync.Once
 
-	// peerVer is the highest protocol version the server has advertised
-	// (in response pad bytes); starts at ProtoVersion, so traced sends
-	// degrade to v1 until the peer proves it understands v2.
-	peerVer atomic.Uint32
-
 	callPool sync.Pool // *Call with a cap-1 Done channel, for the sync API
 }
 
@@ -148,17 +143,10 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 		quit:    make(chan struct{}),
 	}
 	c.callPool.New = func() any { return &Call{Done: make(chan *Call, 1)} }
-	c.peerVer.Store(ProtoVersion)
 	go c.writer()
 	go c.reader()
 	return c, nil
 }
-
-// PeerVersion returns the highest protocol version the server has
-// advertised on this connection (ProtoVersion until a response has
-// been seen; v2-capable servers advertise in every response's pad
-// byte, so one Ping after dialing completes negotiation).
-func (c *Client) PeerVersion() uint8 { return uint8(c.peerVer.Load()) }
 
 // Close tears the connection down; in-flight calls complete with
 // ErrClientClosed (or the read error that raced it).
@@ -237,31 +225,22 @@ func (c *Client) Go(typ uint8, name string, dst, src []uint32, done chan *Call) 
 // GoTagged is Go with the caller's Tag set before the call is issued.
 // When the goroutine consuming done is not the one issuing, assigning
 // Tag on the returned *Call races with its completion — the consumer
-// can receive the call before the issuer's store lands. GoTagged
-// closes that window; the proxy's routing slots depend on it.
+// can receive the call before the issuer's store lands. GoTagged and
+// GoTraced close that window; the proxy's routing slots depend on it.
 func (c *Client) GoTagged(typ uint8, name string, dst, src []uint32, done chan *Call, tag uint64) *Call {
-	if done == nil {
-		done = make(chan *Call, 1)
-	}
-	call := &Call{Type: typ, Name: name, Src: src, Dst: dst, Done: done, Tag: tag, op: OpEval}
-	c.start(call)
-	return call
+	return c.GoTraced(typ, name, dst, src, done, tag, 0, 0)
 }
 
-// GoTraced is GoTagged with a trace context attached: the request goes
-// out as a v2 frame carrying traceID and flags, and on completion
+// GoTraced is GoTagged with a trace context attached: the frame's
+// trace block carries traceID and flags, and on completion
 // Call.TraceID, Call.Spans, Call.IssuedNs and Call.SentNs hold the
-// stitchable trace material. A traceID of 0 means untraced. Tracing
-// degrades silently when the peer has not advertised v2 support
-// (PeerVersion < 2; Ping once after dialing to learn it): the frame is
-// sent untraced, so old servers never see a version byte they would
-// reject.
+// stitchable trace material. A traceID of 0 means untraced.
 func (c *Client) GoTraced(typ uint8, name string, dst, src []uint32, done chan *Call, tag, traceID, flags uint64) *Call {
 	if done == nil {
 		done = make(chan *Call, 1)
 	}
 	call := &Call{Type: typ, Name: name, Src: src, Dst: dst, Done: done, Tag: tag, op: OpEval}
-	if traceID != 0 && c.peerVer.Load() >= ProtoVersionTraced {
+	if traceID != 0 {
 		call.TraceID = traceID
 		call.traceFlags = flags
 		call.IssuedNs = time.Now().UnixNano()
@@ -389,10 +368,8 @@ func (c *Client) writer() {
 					// reader overwrites TraceID with the server's echo, so
 					// re-reading it after the flush would race.
 					traced = append(traced, cl)
-					hdrs = appendTracedRequestHeader(hdrs, cl.op, cl.Type, cl.Name, cl.id, len(cl.Src), width, cl.TraceID, cl.traceFlags)
-				} else {
-					hdrs = appendRequestHeader(hdrs, cl.op, cl.Type, cl.Name, cl.id, len(cl.Src), width)
 				}
+				hdrs = appendRequestHeader(hdrs, cl.op, cl.Type, cl.Name, cl.id, len(cl.Src), width, cl.TraceID, cl.traceFlags)
 				bufs = append(bufs, hdrs[off:len(hdrs):len(hdrs)])
 				if len(cl.Src) > 0 {
 					if width == 4 && hostLE {
@@ -490,91 +467,41 @@ func (c *Client) reader() {
 			c.fail(fmt.Errorf("server: read: %w", err))
 			return
 		}
-		if len(frame) < respHeaderLen || (frame[0] != ProtoVersion && frame[0] != ProtoVersionTraced) {
-			c.fail(fmt.Errorf("%w: bad response header", ErrBadFrame))
+		h, err := parseResponseHeader(frame)
+		if err != nil {
+			c.fail(err)
 			return
-		}
-		status, typ := frame[1], frame[2]
-		id := binary.LittleEndian.Uint32(frame[4:])
-		count := int(binary.LittleEndian.Uint32(frame[8:]))
-		hdr := respHeaderLen
-		traced := frame[0] == ProtoVersionTraced
-		var traceID uint64
-		nspans := 0
-		if traced {
-			nspans = int(frame[3])
-			hdr += TraceBlockLen + nspans*spanRecLen
-			if len(frame) < hdr {
-				c.fail(fmt.Errorf("%w: trace block truncated", ErrBadFrame))
-				return
-			}
-			traceID = binary.LittleEndian.Uint64(frame[12:])
-			if c.peerVer.Load() < ProtoVersionTraced {
-				c.peerVer.Store(ProtoVersionTraced)
-			}
-		} else if adv := uint32(frame[3]); adv > c.peerVer.Load() && adv <= MaxProtoVersion {
-			// v1 responses from v2-capable servers advertise in the pad
-			// byte; only the reader goroutine stores, so no CAS needed.
-			c.peerVer.Store(adv)
 		}
 		c.mu.Lock()
-		call := c.calls[id]
-		delete(c.calls, id)
+		call := c.calls[h.id]
+		delete(c.calls, h.id)
 		c.mu.Unlock()
 		if call == nil {
-			c.fail(fmt.Errorf("%w: response for unknown request id %d", ErrBadFrame, id))
+			c.fail(fmt.Errorf("%w: response for unknown request id %d", ErrBadFrame, h.id))
 			return
 		}
-		call.Status = status
-		if traced {
-			call.TraceID = traceID
-			call.Spans = decodeSpanRecords(call.Spans, frame[respHeaderLen+TraceBlockLen:], nspans)
-		}
-		if status != StatusOK {
+		call.Status = h.status
+		call.TraceID = h.traceID
+		call.Spans = decodeSpanRecords(call.Spans, frame[respHeaderLen:], h.nspans)
+		switch {
+		case h.status != StatusOK:
 			// Non-OK means "no results", and must carry none.
-			if count != 0 || len(frame) != hdr {
+			if h.count != 0 {
 				call.Err = fmt.Errorf("%w: error response with payload", ErrBadFrame)
 				call.complete()
 				c.fail(call.Err)
 				return
 			}
 			call.Dst = call.Dst[:0]
-			call.complete()
-			continue
+		case h.count != len(call.Src):
+			// An OK response carries exactly one result per input; an
+			// empty OK for a non-empty request is a broken server, not a
+			// smaller answer.
+			call.Err = fmt.Errorf("server: %d results for %d inputs", h.count, len(call.Src))
+		default:
+			decodeValuesInto(call.Dst[:h.count], frame[h.values:], h.width)
+			call.Dst = call.Dst[:h.count]
 		}
-		if count == 0 {
-			// Pings (and empty evals) complete here; an empty OK for a
-			// non-empty request is a broken server, not a smaller answer.
-			if len(frame) != hdr {
-				call.Err = fmt.Errorf("%w: response length %d for 0 values", ErrBadFrame, len(frame))
-				call.complete()
-				c.fail(call.Err)
-				return
-			}
-			if len(call.Src) != 0 {
-				call.Err = fmt.Errorf("server: 0 results for %d inputs", len(call.Src))
-				call.complete()
-				continue
-			}
-			call.Dst = call.Dst[:0]
-			call.complete()
-			continue
-		}
-		width := TypeWidth(typ)
-		if width == 0 || len(frame) != hdr+count*width {
-			call.Err = fmt.Errorf("%w: response length %d for %d values", ErrBadFrame, len(frame), count)
-			call.complete()
-			c.fail(call.Err)
-			return
-		}
-		// An OK response carries exactly one result per input.
-		if count != len(call.Src) {
-			call.Err = fmt.Errorf("server: %d results for %d inputs", count, len(call.Src))
-			call.complete()
-			continue
-		}
-		decodeValuesInto(call.Dst[:count], frame[hdr:], width)
-		call.Dst = call.Dst[:count]
 		call.complete()
 	}
 }

@@ -3,11 +3,11 @@ package server
 import (
 	"context"
 	"hash/maphash"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rlibm32/bfloat16"
 	"rlibm32/float16"
@@ -27,57 +27,28 @@ type batchKey struct {
 }
 
 // evalFunc evaluates a batch of raw bit patterns: dst[i] =
-// f(src[i]) in the key's representation. len(dst) == len(src).
+// f(src[i]) in the key's representation. len(dst) == len(src), and
+// dst must not overlap src: the float32 kernels re-read their inputs
+// after writing results (fixupSpecials), which runBatch's distinct
+// src and result buffers guarantee is safe.
 type evalFunc func(dst, src []uint32)
 
-// evalChunk sizes the stack-resident conversion buffers between wire
-// bit patterns and the kernels' element types (matches the kernels'
-// own internal chunking).
-const evalChunk = 256
-
-// Conversion buffers between wire bit patterns and the kernels'
-// element types. Pooled (not stack arrays) because the slices are
-// passed to non-inlinable kernel closures and would otherwise escape —
-// heap-allocating two 1 KiB arrays per batch.
-var f32ConvPool = sync.Pool{New: func() any { return new([2 * evalChunk]float32) }}
-var positConvPool = sync.Pool{New: func() any { return new([2 * evalChunk]posit32.Posit) }}
-
-// wrapFloat32 adapts an rlibm batch kernel to bit-pattern slices.
+// wrapFloat32 adapts an rlibm batch kernel to bit-pattern slices by
+// reinterpreting them in place: a float32 and its math.Float32bits
+// pattern are the same four bytes on any byte order.
 func wrapFloat32(f func(dst, xs []float32)) evalFunc {
 	return func(dst, src []uint32) {
-		conv := f32ConvPool.Get().(*[2 * evalChunk]float32)
-		xs, ys := conv[:evalChunk], conv[evalChunk:]
-		for off := 0; off < len(src); off += evalChunk {
-			n := min(len(src)-off, evalChunk)
-			for j := 0; j < n; j++ {
-				xs[j] = math.Float32frombits(src[off+j])
-			}
-			f(ys[:n], xs[:n])
-			for j := 0; j < n; j++ {
-				dst[off+j] = math.Float32bits(ys[j])
-			}
-		}
-		f32ConvPool.Put(conv)
+		f(unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(dst))), len(dst)),
+			unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(src))), len(src)))
 	}
 }
 
 // wrapPosit32 adapts a positmath batch kernel; posits already are
-// their bit patterns, so the conversion is a cast.
+// their bit patterns, so the slices are reinterpreted in place.
 func wrapPosit32(f func(dst, ps []posit32.Posit)) evalFunc {
 	return func(dst, src []uint32) {
-		conv := positConvPool.Get().(*[2 * evalChunk]posit32.Posit)
-		ps, qs := conv[:evalChunk], conv[evalChunk:]
-		for off := 0; off < len(src); off += evalChunk {
-			n := min(len(src)-off, evalChunk)
-			for j := 0; j < n; j++ {
-				ps[j] = posit32.Posit(src[off+j])
-			}
-			f(qs[:n], ps[:n])
-			for j := 0; j < n; j++ {
-				dst[off+j] = uint32(qs[j])
-			}
-		}
-		positConvPool.Put(conv)
+		f(unsafe.Slice((*posit32.Posit)(unsafe.SliceData(dst)), len(dst)),
+			unsafe.Slice((*posit32.Posit)(unsafe.SliceData(src)), len(src)))
 	}
 }
 
@@ -174,10 +145,9 @@ type pending struct {
 	dst    []uint32 // subslice of batch.buf when status is StatusOK
 	batch  *batchResult
 
-	// Trace context (v2 frames). The stamps are unix ns, taken only
-	// when a batch contains a traced pending, so the untraced hot path
-	// pays one branch and no clock reads.
-	traced     bool
+	// Trace context (traceID 0 = untraced). The stamps are unix ns,
+	// taken only when a batch contains a traced pending, so the
+	// untraced hot path pays one branch and no clock reads.
 	traceID    uint64
 	traceFlags uint64
 	tAssemble  int64 // batch drained by a worker
@@ -209,7 +179,7 @@ func (p *pending) release() {
 	}
 	p.ks, p.out, p.dst = nil, nil, nil
 	p.id, p.typ, p.status = 0, 0, 0
-	p.traced, p.traceID, p.traceFlags = false, 0, 0
+	p.traceID, p.traceFlags = 0, 0
 	p.tAssemble, p.tKern0, p.tKern1 = 0, 0, 0
 	pendingPool.Put(p)
 }
@@ -467,7 +437,7 @@ func (d *dispatcher) drain(q *queue, scratch []*pending) []*pending {
 func (d *dispatcher) runBatch(q *queue, batch []*pending, vals int) {
 	anyTraced := false
 	for _, p := range batch {
-		if p.traced {
+		if p.traceID != 0 {
 			anyTraced = true
 			break
 		}
@@ -503,7 +473,7 @@ func (d *dispatcher) runBatch(q *queue, batch []*pending, vals int) {
 		off += len(p.src)
 		p.batch = res
 		p.status = StatusOK
-		if p.traced {
+		if p.traceID != 0 {
 			p.tAssemble, p.tKern0, p.tKern1 = tAssemble, tKern0, tKern1
 		}
 		if q.ks.fm != nil {

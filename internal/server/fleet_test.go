@@ -332,7 +332,7 @@ func TestParseRequestZeroCopy(t *testing.T) {
 		want error
 	}{
 		{"truncated header", func(f []byte) []byte { return f[:reqHeaderLen-1] }, ErrBadFrame},
-		{"bad version", func(f []byte) []byte { f[0] = MaxProtoVersion + 1; return f }, ErrBadVersion},
+		{"bad version", func(f []byte) []byte { f[0] = ProtoVersion + 1; return f }, ErrBadVersion},
 		{"unknown opcode", func(f []byte) []byte { f[1] = 0xEE; return f }, ErrBadFrame},
 		{"unknown type", func(f []byte) []byte { f[2] = 0xEE; return f }, ErrBadFrame},
 		{"length too short", func(f []byte) []byte { return f[:len(f)-1] }, ErrBadFrame},

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rlibm32/internal/perf"
+	"rlibm32/internal/telemetry"
 
 	rlibm "rlibm32"
 )
@@ -340,7 +341,7 @@ func TestPoolReconnectSoak(t *testing.T) {
 // exactly len(Src) results.
 func FuzzPipelinedResponses(f *testing.F) {
 	mk := func(status uint8, id uint32, bits []uint32) []byte {
-		b := appendResponseHeader(nil, status, TFloat32, 0, id, len(bits), 4)
+		b := appendResponseHeader(nil, status, TFloat32, id, len(bits), 4, 0, 0, nil)
 		return appendValues(b, bits, 4)
 	}
 	var ooo []byte // ids completed 3, 1, 2: the reorder path
@@ -353,6 +354,9 @@ func FuzzPipelinedResponses(f *testing.F) {
 	f.Add(mk(StatusOK, 99, []uint32{5}))              // unknown id
 	f.Add(append(mk(StatusBusy, 1, nil), 0xAA, 0xBB)) // busy then garbage
 	f.Add([]byte{0xff, 0xff, 0xff})
+	traced := appendResponseHeader(nil, StatusOK, TFloat32, 2, 1, 4, 0xbeef, 0,
+		[]telemetry.SpanRecord{{Start: 1, Dur: 2, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}})
+	f.Add(appendValues(traced, []uint32{6}, 4)) // spans on an untraced call
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The accept goroutine can outlive this iteration (it lingers in

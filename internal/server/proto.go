@@ -11,28 +11,26 @@
 // Frame layout (all integers little-endian):
 //
 //	request:  u32 len | u8 ver | u8 op | u8 type | u8 nameLen |
-//	          u32 id | u32 count | name[nameLen] | values[count*width]
-//	response: u32 len | u8 ver | u8 status | u8 type | u8 pad |
-//	          u32 id | u32 count | values[count*width]
+//	          u32 id | u32 count | u64 traceID | u64 flags |
+//	          name[nameLen] | values[count*width]
+//	response: u32 len | u8 ver | u8 status | u8 type | u8 nspans |
+//	          u32 id | u32 count | u64 traceID | u64 flags |
+//	          spans[nspans*24] | values[count*width]
 //
-// len counts every byte after the length field itself. width is the
+// len counts every byte after the length field itself. ver is always
+// ProtoVersion; any other version byte is rejected. width is the
 // representation's encoding width: 4 bytes for float32 and posit32,
 // 2 bytes for bfloat16, float16 and posit16. Values travel as raw bit
 // patterns (math.Float32bits for float32, the posit encoding for
 // posits, the 16-bit encodings for the half-width types); 16-bit
 // values occupy the low 16 bits of their Request/Response Bits entry.
 //
-// Version 2 frames carry an optional trace context for cross-process
-// request tracing. A v2 request inserts a 16-byte trace block (u64
-// trace id, u64 flags) between the fixed header and the name; a v2
-// response inserts the same block plus nspans (the pad byte) 24-byte
-// span records (u64 start unix ns, u64 dur ns, u8 proc, u8 stage, 6
-// reserved) before the values, letting each tier report where the
-// request spent its time. Negotiation is passive and backward
-// compatible: v1 responses from a v2-capable server carry the peer's
-// maximum version in the pad byte — a field v1 decoders never read —
-// and a client sends v2 frames only after seeing an advertisement, so
-// old peers are never handed a version byte they would reject.
+// Every frame carries the 16-byte trace block for cross-process
+// request tracing. A trace id of 0 means untraced: the response echoes
+// the block with nspans = 0, and no tier reads the clock for it. A
+// traced response carries nspans 24-byte span records (u64 start unix
+// ns, u64 dur ns, u8 proc, u8 stage, 6 reserved) before the values,
+// letting each tier report where the request spent its time.
 //
 // Inside the daemon, concurrent small requests for the same
 // (function, type) are coalesced into large batches before hitting the
@@ -53,31 +51,23 @@ import (
 	"rlibm32/internal/telemetry"
 )
 
-// ProtoVersion is the baseline wire protocol version byte; frames at
-// this version are byte-identical to the pre-tracing protocol.
-const ProtoVersion = 1
-
-// ProtoVersionTraced marks frames carrying a trace context block;
-// MaxProtoVersion is what a server advertises in v1 response pad
-// bytes.
-const (
-	ProtoVersionTraced = 2
-	MaxProtoVersion    = ProtoVersionTraced
-)
+// ProtoVersion is the wire protocol version byte every frame carries;
+// a frame with any other version byte is rejected with ErrBadVersion.
+const ProtoVersion = 2
 
 // reqHeaderLen / respHeaderLen count the fixed bytes after the length
-// prefix.
+// prefix, trace block included.
 const (
-	reqHeaderLen  = 12
-	respHeaderLen = 12
+	reqHeaderLen  = 12 + TraceBlockLen
+	respHeaderLen = 12 + TraceBlockLen
 )
 
-// TraceBlockLen is the v2 trace context block (u64 trace id, u64
-// flags); spanRecLen is one encoded span record in a v2 response.
+// TraceBlockLen is the trace context block (u64 trace id, u64 flags);
+// spanRecLen is one encoded span record in a response.
 const (
 	TraceBlockLen = 16
 	spanRecLen    = 24
-	maxFrameSpans = 255 // span count travels in the pad byte
+	maxFrameSpans = 255 // span count travels in one header byte
 )
 
 // DefaultMaxFrame bounds the payload of a single frame (1 MiB: a
@@ -179,32 +169,25 @@ func TypeCode(variant string) (uint8, bool) {
 }
 
 // Request is a decoded request frame. Bits holds the raw input bit
-// patterns; 16-bit types use the low 16 bits of each entry. When
-// Traced is set, the frame is encoded at ProtoVersionTraced and
-// carries the trace block.
+// patterns; 16-bit types use the low 16 bits of each entry. A nonzero
+// TraceID marks the request as traced.
 type Request struct {
 	ID         uint32
 	Op         uint8
 	Type       uint8
 	Name       string
 	Bits       []uint32
-	Traced     bool
 	TraceID    uint64
 	TraceFlags uint64
 }
 
-// Response is a decoded response frame. Advert is the pad byte of a v1
-// frame: v2-capable servers advertise MaxProtoVersion there, v1
-// servers always send 0, and pre-tracing decoders never read it. A
-// traced (v2) response instead uses the pad byte as its span count and
-// echoes the request's trace block.
+// Response is a decoded response frame. It echoes the request's trace
+// block; Spans holds the per-stage records a traced response carries.
 type Response struct {
 	ID         uint32
 	Status     uint8
 	Type       uint8
-	Advert     uint8
 	Bits       []uint32
-	Traced     bool
 	TraceID    uint64
 	TraceFlags uint64
 	Spans      []telemetry.SpanRecord
@@ -281,38 +264,13 @@ func decodeValues(payload []byte, count, width int) []uint32 {
 	return bits
 }
 
-// appendRequestHeader appends the 16-byte fixed request header plus
-// the function name (the frame's length prefix included) to dst. The
-// caller appends or scatter-gathers the value payload separately.
-func appendRequestHeader(dst []byte, op, typ uint8, name string, id uint32, count, width int) []byte {
+// appendRequestHeader appends a request header — the length prefix,
+// the fixed fields, the trace block and the function name — to dst.
+// The caller appends or scatter-gathers the value payload separately.
+func appendRequestHeader(dst []byte, op, typ uint8, name string, id uint32, count, width int, traceID, flags uint64) []byte {
 	frameLen := reqHeaderLen + len(name) + count*width
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
 	dst = append(dst, ProtoVersion, op, typ, uint8(len(name)))
-	dst = binary.LittleEndian.AppendUint32(dst, id)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
-	return append(dst, name...)
-}
-
-// appendResponseHeader appends the 16-byte response frame header
-// (length prefix included) to dst; the value payload — count values at
-// width bytes — travels separately (net.Buffers scatter-gather). pad
-// is the version advertisement on server-emitted frames; v1 decoders
-// ignore the byte.
-func appendResponseHeader(dst []byte, status, typ, pad uint8, id uint32, count, width int) []byte {
-	frameLen := respHeaderLen + count*width
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, ProtoVersion, status, typ, pad)
-	dst = binary.LittleEndian.AppendUint32(dst, id)
-	return binary.LittleEndian.AppendUint32(dst, uint32(count))
-}
-
-// appendTracedRequestHeader appends a v2 request header: the v1 fixed
-// header at version ProtoVersionTraced, the 16-byte trace block, then
-// the name. The value payload travels separately.
-func appendTracedRequestHeader(dst []byte, op, typ uint8, name string, id uint32, count, width int, traceID, flags uint64) []byte {
-	frameLen := reqHeaderLen + TraceBlockLen + len(name) + count*width
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, ProtoVersionTraced, op, typ, uint8(len(name)))
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	dst = binary.LittleEndian.AppendUint64(dst, traceID)
@@ -320,17 +278,18 @@ func appendTracedRequestHeader(dst []byte, op, typ uint8, name string, id uint32
 	return append(dst, name...)
 }
 
-// appendTracedResponseHeader appends a v2 response header: pad byte =
-// span count, then the echoed trace block and the encoded span
-// records. The value payload travels separately. Spans beyond
-// maxFrameSpans are dropped (the count must fit the pad byte).
-func appendTracedResponseHeader(dst []byte, status, typ uint8, id uint32, count, width int, traceID, flags uint64, spans []telemetry.SpanRecord) []byte {
+// appendResponseHeader appends a response header — the length prefix,
+// the fixed fields with the span count, the echoed trace block and the
+// encoded span records — to dst. The value payload, count values at
+// width bytes, travels separately (net.Buffers scatter-gather). Spans
+// beyond maxFrameSpans are dropped (the count must fit one byte).
+func appendResponseHeader(dst []byte, status, typ uint8, id uint32, count, width int, traceID, flags uint64, spans []telemetry.SpanRecord) []byte {
 	if len(spans) > maxFrameSpans {
 		spans = spans[:maxFrameSpans]
 	}
-	frameLen := respHeaderLen + TraceBlockLen + len(spans)*spanRecLen + count*width
+	frameLen := respHeaderLen + len(spans)*spanRecLen + count*width
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, ProtoVersionTraced, status, typ, uint8(len(spans)))
+	dst = append(dst, ProtoVersion, status, typ, uint8(len(spans)))
 	dst = binary.LittleEndian.AppendUint32(dst, id)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(count))
 	dst = binary.LittleEndian.AppendUint64(dst, traceID)
@@ -375,20 +334,29 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	if len(req.Name) > 255 {
 		return dst, fmt.Errorf("%w: function name too long", ErrBadFrame)
 	}
-	if req.Traced {
-		dst = appendTracedRequestHeader(dst, req.Op, req.Type, req.Name, req.ID, len(req.Bits), width, req.TraceID, req.TraceFlags)
-	} else {
-		dst = appendRequestHeader(dst, req.Op, req.Type, req.Name, req.ID, len(req.Bits), width)
-	}
+	dst = appendRequestHeader(dst, req.Op, req.Type, req.Name, req.ID, len(req.Bits), width, req.TraceID, req.TraceFlags)
 	return appendValues(dst, req.Bits, width), nil
+}
+
+// checkHeader checks a frame body's version byte, then that it holds
+// the n-byte fixed header. The version comes first so a frame in a
+// retired layout is reported as ErrBadVersion whatever its length.
+func checkHeader(frame []byte, n int) error {
+	if len(frame) > 0 && frame[0] != ProtoVersion {
+		return fmt.Errorf("%w: got %d, want %d", ErrBadVersion, frame[0], ProtoVersion)
+	}
+	if len(frame) < n {
+		return fmt.Errorf("%w: header truncated (%d bytes)", ErrBadFrame, len(frame))
+	}
+	return nil
 }
 
 // ParsedRequest is a zero-copy view of a validated request frame: Name
 // and Payload alias the frame buffer and are valid only until the
 // buffer's next reuse (the next FrameScanner.Next, for scanner-fed
 // frames). Payload holds Count wire values at TypeWidth(Type) bytes
-// each; decode them with DecodeValuesInto. The proxy tier forwards
-// frames from this view without materializing a Request.
+// each; decode them with DecodeValuesInto. The server and proxy read
+// loops work from this view without materializing a Request.
 type ParsedRequest struct {
 	Op         uint8
 	Type       uint8
@@ -396,41 +364,30 @@ type ParsedRequest struct {
 	Count      int
 	Name       []byte
 	Payload    []byte
-	Traced     bool
 	TraceID    uint64
 	TraceFlags uint64
 }
 
 // ParseRequest validates a request frame (the bytes after the length
 // prefix) — version, opcode, type code, exact length consistency —
-// and returns a zero-copy view of it. Version 2 frames additionally
-// yield the trace block.
+// and returns a zero-copy view of it. It is the only request parser:
+// every tier validates frames here. Once the fixed header is intact,
+// its fields (ID above all, for the error response) are set even when
+// the rest of the frame is rejected.
 func ParseRequest(frame []byte) (ParsedRequest, error) {
 	var pr ParsedRequest
-	if len(frame) < reqHeaderLen {
-		return pr, fmt.Errorf("%w: request header truncated (%d bytes)", ErrBadFrame, len(frame))
-	}
-	hdr := reqHeaderLen
-	switch frame[0] {
-	case ProtoVersion:
-	case ProtoVersionTraced:
-		if len(frame) < reqHeaderLen+TraceBlockLen {
-			return pr, fmt.Errorf("%w: trace block truncated (%d bytes)", ErrBadFrame, len(frame))
-		}
-		pr.Traced = true
-		pr.TraceID = binary.LittleEndian.Uint64(frame[12:])
-		pr.TraceFlags = binary.LittleEndian.Uint64(frame[20:])
-		hdr += TraceBlockLen
-	default:
-		return pr, fmt.Errorf("%w: got %d, want <= %d", ErrBadVersion, frame[0], MaxProtoVersion)
+	if err := checkHeader(frame, reqHeaderLen); err != nil {
+		return pr, err
 	}
 	pr.Op, pr.Type = frame[1], frame[2]
 	pr.ID = binary.LittleEndian.Uint32(frame[4:])
-	nameLen := int(frame[3])
 	pr.Count = int(binary.LittleEndian.Uint32(frame[8:]))
+	pr.TraceID = binary.LittleEndian.Uint64(frame[12:])
+	pr.TraceFlags = binary.LittleEndian.Uint64(frame[20:])
+	nameLen := int(frame[3])
 	switch pr.Op {
 	case OpPing:
-		if nameLen != 0 || pr.Count != 0 || len(frame) != hdr {
+		if nameLen != 0 || pr.Count != 0 || len(frame) != reqHeaderLen {
 			return pr, fmt.Errorf("%w: ping carries a payload", ErrBadFrame)
 		}
 		return pr, nil
@@ -442,18 +399,16 @@ func ParseRequest(frame []byte) (ParsedRequest, error) {
 	if width == 0 {
 		return pr, fmt.Errorf("%w: unknown type code %d", ErrBadFrame, pr.Type)
 	}
-	if want := hdr + nameLen + pr.Count*width; len(frame) != want {
+	if want := reqHeaderLen + nameLen + pr.Count*width; len(frame) != want {
 		return pr, fmt.Errorf("%w: frame length %d, header implies %d", ErrBadFrame, len(frame), want)
 	}
-	pr.Name = frame[hdr : hdr+nameLen]
-	pr.Payload = frame[hdr+nameLen:]
+	pr.Name = frame[reqHeaderLen : reqHeaderLen+nameLen]
+	pr.Payload = frame[reqHeaderLen+nameLen:]
 	return pr, nil
 }
 
 // DecodeRequest parses a request frame (the bytes after the length
-// prefix) into an owning Request. It validates the version, opcode,
-// type code and that the payload length is exactly consistent with
-// nameLen and count.
+// prefix) into an owning Request, with ParseRequest's validation.
 func DecodeRequest(frame []byte) (*Request, error) {
 	pr, err := ParseRequest(frame)
 	if err != nil {
@@ -461,7 +416,7 @@ func DecodeRequest(frame []byte) (*Request, error) {
 	}
 	req := &Request{
 		Op: pr.Op, Type: pr.Type, ID: pr.ID, Name: string(pr.Name),
-		Traced: pr.Traced, TraceID: pr.TraceID, TraceFlags: pr.TraceFlags,
+		TraceID: pr.TraceID, TraceFlags: pr.TraceFlags,
 	}
 	if pr.Op == OpEval {
 		req.Bits = decodeValues(pr.Payload, pr.Count, TypeWidth(pr.Type))
@@ -479,68 +434,81 @@ func DecodeValuesInto(dst []uint32, payload []byte, width int) {
 
 // AppendResponse appends the wire encoding of resp to dst. A response
 // with an unknown type code must carry no values (error responses echo
-// the request's type code verbatim, which may be garbage). Traced
-// responses encode at v2 with resp.Spans; untraced ones encode at v1
-// with resp.Advert in the pad byte.
+// the request's type code verbatim, which may be garbage).
 func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	width := TypeWidth(resp.Type)
 	if width == 0 && len(resp.Bits) > 0 {
 		return dst, fmt.Errorf("%w: values with unknown type code %d", ErrBadFrame, resp.Type)
 	}
-	if resp.Traced {
-		dst = appendTracedResponseHeader(dst, resp.Status, resp.Type, resp.ID, len(resp.Bits), width, resp.TraceID, resp.TraceFlags, resp.Spans)
-	} else {
-		dst = appendResponseHeader(dst, resp.Status, resp.Type, resp.Advert, resp.ID, len(resp.Bits), width)
-	}
+	dst = appendResponseHeader(dst, resp.Status, resp.Type, resp.ID, len(resp.Bits), width, resp.TraceID, resp.TraceFlags, resp.Spans)
 	return appendValues(dst, resp.Bits, width), nil
 }
 
+// respHeader is the validated fixed part of a response frame. The span
+// records start at frame[respHeaderLen]; the values, count of them at
+// width bytes each, at frame[values].
+type respHeader struct {
+	status, typ uint8
+	id          uint32
+	count       int
+	width       int
+	traceID     uint64
+	traceFlags  uint64
+	nspans      int
+	values      int
+}
+
+// parseResponseHeader validates a response frame (the bytes after the
+// length prefix) — version, span records in bounds, and a length
+// exactly consistent with count values of a known type — without
+// allocating. It is the one response parser, shared by DecodeResponse
+// and the client's reader.
+func parseResponseHeader(frame []byte) (respHeader, error) {
+	var h respHeader
+	if err := checkHeader(frame, respHeaderLen); err != nil {
+		return h, err
+	}
+	h.status, h.typ, h.nspans = frame[1], frame[2], int(frame[3])
+	h.id = binary.LittleEndian.Uint32(frame[4:])
+	h.count = int(binary.LittleEndian.Uint32(frame[8:]))
+	h.traceID = binary.LittleEndian.Uint64(frame[12:])
+	h.traceFlags = binary.LittleEndian.Uint64(frame[20:])
+	h.values = respHeaderLen + h.nspans*spanRecLen
+	if len(frame) < h.values {
+		return h, fmt.Errorf("%w: span records truncated (%d bytes, %d spans)", ErrBadFrame, len(frame), h.nspans)
+	}
+	if h.count == 0 {
+		if len(frame) != h.values {
+			return h, fmt.Errorf("%w: empty response with %d trailing bytes", ErrBadFrame, len(frame)-h.values)
+		}
+		return h, nil
+	}
+	if h.width = TypeWidth(h.typ); h.width == 0 {
+		return h, fmt.Errorf("%w: values with unknown type code %d", ErrBadFrame, h.typ)
+	}
+	if want := h.values + h.count*h.width; len(frame) != want {
+		return h, fmt.Errorf("%w: frame length %d, header implies %d", ErrBadFrame, len(frame), want)
+	}
+	return h, nil
+}
+
 // DecodeResponse parses a response frame (the bytes after the length
-// prefix). For v1 frames the pad byte lands in Advert; for v2 frames
-// the trace block and span records land in TraceID/TraceFlags/Spans.
+// prefix) into an owning Response.
 func DecodeResponse(frame []byte) (*Response, error) {
-	if len(frame) < respHeaderLen {
-		return nil, fmt.Errorf("%w: response header truncated (%d bytes)", ErrBadFrame, len(frame))
+	h, err := parseResponseHeader(frame)
+	if err != nil {
+		return nil, err
 	}
 	resp := &Response{
-		Status: frame[1],
-		Type:   frame[2],
-		ID:     binary.LittleEndian.Uint32(frame[4:]),
+		ID: h.id, Status: h.status, Type: h.typ,
+		TraceID: h.traceID, TraceFlags: h.traceFlags,
 	}
-	hdr := respHeaderLen
-	switch frame[0] {
-	case ProtoVersion:
-		resp.Advert = frame[3]
-	case ProtoVersionTraced:
-		nspans := int(frame[3])
-		hdr += TraceBlockLen + nspans*spanRecLen
-		if len(frame) < hdr {
-			return nil, fmt.Errorf("%w: trace block truncated (%d bytes, %d spans)", ErrBadFrame, len(frame), nspans)
-		}
-		resp.Traced = true
-		resp.TraceID = binary.LittleEndian.Uint64(frame[12:])
-		resp.TraceFlags = binary.LittleEndian.Uint64(frame[20:])
-		if nspans > 0 {
-			resp.Spans = decodeSpanRecords(nil, frame[respHeaderLen+TraceBlockLen:], nspans)
-		}
-	default:
-		return nil, fmt.Errorf("%w: got %d, want <= %d", ErrBadVersion, frame[0], MaxProtoVersion)
+	if h.nspans > 0 {
+		resp.Spans = decodeSpanRecords(nil, frame[respHeaderLen:], h.nspans)
 	}
-	count := int(binary.LittleEndian.Uint32(frame[8:]))
-	width := TypeWidth(resp.Type)
-	if count == 0 {
-		if len(frame) != hdr {
-			return nil, fmt.Errorf("%w: empty response with %d trailing bytes", ErrBadFrame, len(frame)-hdr)
-		}
-		return resp, nil
+	if h.count > 0 {
+		resp.Bits = decodeValues(frame[h.values:], h.count, h.width)
 	}
-	if width == 0 {
-		return nil, fmt.Errorf("%w: values with unknown type code %d", ErrBadFrame, resp.Type)
-	}
-	if want := hdr + count*width; len(frame) != want {
-		return nil, fmt.Errorf("%w: frame length %d, header implies %d", ErrBadFrame, len(frame), want)
-	}
-	resp.Bits = decodeValues(frame[hdr:], count, width)
 	return resp, nil
 }
 

@@ -73,6 +73,7 @@ func TestDecodeRequestErrors(t *testing.T) {
 	cases := map[string][]byte{
 		"truncated header": frame[:8],
 		"bad version":      append([]byte{99}, frame[1:]...),
+		"v1 version":       mutate(frame, 0, 1),
 		"bad opcode":       mutate(frame, 1, 77),
 		"bad type":         mutate(frame, 2, 200),
 		"length mismatch":  frame[:len(frame)-1],
@@ -100,12 +101,12 @@ func TestReadFrameTooLarge(t *testing.T) {
 }
 
 // FuzzFrameRoundTrip checks encode→decode identity for request and
-// response frames over arbitrary headers and payloads.
+// response frames over arbitrary headers, trace blocks and payloads.
 func FuzzFrameRoundTrip(f *testing.F) {
-	f.Add(uint8(OpEval), uint8(TFloat32), "exp", uint32(1), []byte{0, 0, 128, 63})
-	f.Add(uint8(OpPing), uint8(0), "", uint32(0), []byte{})
-	f.Add(uint8(OpEval), uint8(TPosit16), "ln", uint32(9), []byte{1, 2, 3, 4})
-	f.Fuzz(func(t *testing.T, op, typ uint8, name string, id uint32, payload []byte) {
+	f.Add(uint8(OpEval), uint8(TFloat32), "exp", uint32(1), uint64(0), uint64(0), []byte{0, 0, 128, 63})
+	f.Add(uint8(OpPing), uint8(0), "", uint32(0), uint64(7), uint64(1), []byte{})
+	f.Add(uint8(OpEval), uint8(TPosit16), "ln", uint32(9), uint64(0xfeedc0de), uint64(0), []byte{1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, op, typ uint8, name string, id uint32, traceID, flags uint64, payload []byte) {
 		width := TypeWidth(typ)
 		if width == 0 {
 			width = 4
@@ -116,7 +117,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				bits[i] |= uint32(payload[i*width+j]) << (8 * j)
 			}
 		}
-		req := &Request{Op: op, Type: typ, Name: name, ID: id, Bits: bits}
+		req := &Request{Op: op, Type: typ, Name: name, ID: id, Bits: bits, TraceID: traceID, TraceFlags: flags}
 		enc, err := AppendRequest(nil, req)
 		if err != nil {
 			return // unencodable input (name too long, unknown type)
@@ -130,7 +131,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		if got.Op != req.Op || got.Type != req.Type || got.ID != req.ID {
+		if got.Op != req.Op || got.Type != req.Type || got.ID != req.ID ||
+			got.TraceID != traceID || got.TraceFlags != flags {
 			t.Fatalf("header mismatch: got %+v want %+v", got, req)
 		}
 		if got.Op == OpEval {
@@ -148,7 +150,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			}
 		}
 
-		resp := &Response{Status: op, Type: typ, ID: id, Bits: bits}
+		resp := &Response{Status: op, Type: typ, ID: id, Bits: bits, TraceID: traceID, TraceFlags: flags}
 		renc, err := AppendResponse(nil, resp)
 		if err != nil {
 			return
@@ -157,7 +159,8 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("response round trip rejected: %v", err)
 		}
-		if rgot.Status != resp.Status || rgot.ID != resp.ID || len(rgot.Bits) != len(resp.Bits) {
+		if rgot.Status != resp.Status || rgot.ID != resp.ID || len(rgot.Bits) != len(resp.Bits) ||
+			rgot.TraceID != traceID || rgot.TraceFlags != flags {
 			t.Fatalf("response mismatch: got %+v want %+v", rgot, resp)
 		}
 	})

@@ -37,13 +37,8 @@ func newClientPool(addr string, size int, timeout time.Duration) *clientPool {
 //
 // The dial and its follow-up ping run outside the pool mutex — a slow
 // backend must not stall every forwarder round-robining through the
-// pool. The ping does double duty: it proves the connection actually
-// serves requests (a dial alone only proves a listener), and its
-// response carries the backend's protocol-version advertisement, so a
-// traced frame issued right after get() already knows whether the
-// backend speaks v2 (server.Client.GoTraced degrades to v1 silently
-// otherwise — and would keep degrading until some later response
-// negotiated, losing the backend spans the stitched trace needs).
+// pool. The ping proves liveness: the connection actually serves
+// requests, where a dial alone only proves a listener.
 func (p *clientPool) get() (*server.Client, error) {
 	i := int(p.next.Add(1)) % len(p.clients)
 	p.mu.Lock()

@@ -424,29 +424,31 @@ type pslot struct {
 	start    time.Time // admission (downstream latency); always set when traced
 	issued   time.Time // last forward attempt (per-backend latency)
 
-	// Trace relay state. A traced slot accumulates the proxy's own
-	// span events plus whatever spans each backend attempt returned,
-	// and the final downstream response carries them all at v2. The
-	// spans slice is reused across the slot's lifetimes, so steady-
-	// state tracing does not allocate either.
-	traced     bool
+	// Trace relay state (traceID 0 = untraced). A traced slot
+	// accumulates the proxy's own span events plus whatever spans each
+	// backend attempt returned, and the final downstream response
+	// carries them all. The spans slice is reused across the slot's
+	// lifetimes, so steady-state tracing does not allocate either.
 	traceID    uint64
 	traceFlags uint64
 	spans      []telemetry.SpanRecord
 }
 
 // localResp is a response the proxy answers without any upstream call:
-// pings, admission sheds, unknown functions, malformed verdicts.
-// Traced evals keep their trace context even on local verdicts, so a
-// shed still stitches into the caller's trace; pings always answer v1
-// (their pad-byte advertisement is how peers discover v2 support).
+// pings, admission sheds, unknown functions, malformed verdicts. It
+// echoes the request's trace block, so a shed still stitches into the
+// caller's trace.
 type localResp struct {
 	id      uint32
 	typ     uint8
 	status  uint8
-	traced  bool
 	traceID uint64
 	flags   uint64
+}
+
+// localFor answers request pr locally with status.
+func localFor(pr *server.ParsedRequest, status uint8) localResp {
+	return localResp{id: pr.ID, typ: pr.Type, status: status, traceID: pr.TraceID, flags: pr.TraceFlags}
 }
 
 // pconn is one downstream connection: a reader goroutine that
@@ -553,15 +555,15 @@ func (pc *pconn) readLoop() {
 			pc.locals <- localResp{id: pr.ID, status: server.StatusMalformed}
 			return
 		}
-		if pr.Traced {
+		if pr.TraceID != 0 {
 			p.m.TracedFrames.Inc()
 		}
 		if pr.Op == server.OpPing {
 			if p.draining.Load() {
-				pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusShutdown}
+				pc.locals <- localFor(&pr, server.StatusShutdown)
 				return
 			}
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusOK}
+			pc.locals <- localFor(&pr, server.StatusOK)
 			continue
 		}
 		rk := p.lookup(pr.Type, pr.Name)
@@ -570,26 +572,23 @@ func (pc *pconn) readLoop() {
 				Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type, Status: server.StatusUnknownFunc,
 				ID: pr.ID, Count: uint32(pr.Count), Conn: pc.hint, TraceID: pr.TraceID, Note: "unknown-func",
 			})
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusUnknownFunc,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localFor(&pr, server.StatusUnknownFunc)
 			continue
 		}
 		if p.draining.Load() {
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusShutdown,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localFor(&pr, server.StatusShutdown)
 			return
 		}
 		if pr.Count == 0 {
 			rk.km.Requests.Inc()
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusOK,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localFor(&pr, server.StatusOK)
 			continue
 		}
 		// A traced frame reads the clock at admission entry so the
 		// admit span covers the shed checks and slot wait below;
 		// untraced frames keep the hot path clock-free.
 		var tRecv time.Time
-		if pr.Traced {
+		if pr.TraceID != 0 {
 			tRecv = time.Now()
 		}
 		n := int64(pr.Count)
@@ -620,7 +619,7 @@ func (pc *pconn) readLoop() {
 		sl.dst = sl.dst[:pr.Count]
 		server.DecodeValuesInto(sl.src, pr.Payload, rk.width)
 		sl.attempts, sl.tried, sl.bk = 0, 0, nil
-		sl.traced, sl.traceID, sl.traceFlags = pr.Traced, pr.TraceID, pr.TraceFlags
+		sl.traceID, sl.traceFlags = pr.TraceID, pr.TraceFlags
 		sl.spans = sl.spans[:0]
 		// Latency histograms are sampled 1-in-16: two clock reads per
 		// request (admission and issue) cost more than the rest of the
@@ -631,7 +630,7 @@ func (pc *pconn) readLoop() {
 		// useless — and the *_sampled_total counters record how many
 		// observations each histogram actually received.
 		switch {
-		case pr.Traced:
+		case pr.TraceID != 0:
 			now := time.Now()
 			sl.start = tRecv
 			sl.spans = append(sl.spans, telemetry.SpanRecord{
@@ -666,8 +665,7 @@ func (pc *pconn) readLoop() {
 				Name: rk.name, Note: "unrouted",
 			})
 			pc.releaseSlot(si, sl)
-			pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusBusy,
-				traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+			pc.locals <- localFor(&pr, server.StatusBusy)
 		}
 	}
 }
@@ -686,8 +684,7 @@ func (pc *pconn) shed(pr *server.ParsedRequest, rk *routeKey, note string) {
 	if p.busyW.ObserveShed() {
 		p.flight.TriggerDump("busy-fraction")
 	}
-	pc.locals <- localResp{id: pr.ID, typ: pr.Type, status: server.StatusBusy,
-		traced: pr.Traced, traceID: pr.TraceID, flags: pr.TraceFlags}
+	pc.locals <- localFor(pr, server.StatusBusy)
 }
 
 // tryIssue forwards a slot to the next ring replica, walking until a
@@ -697,7 +694,7 @@ func (pc *pconn) shed(pr *server.ParsedRequest, rk *routeKey, note string) {
 func (pc *pconn) tryIssue(si int, sl *pslot) bool {
 	p := pc.p
 	var tWalk time.Time
-	if sl.traced {
+	if sl.traceID != 0 {
 		tWalk = time.Now()
 	}
 	for sl.attempts < p.maxAttempts {
@@ -728,7 +725,8 @@ func (pc *pconn) tryIssue(si int, sl *pslot) bool {
 		}
 		bk.m.Requests.Inc()
 		bk.m.Values.Add(uint64(sl.n))
-		if sl.traced {
+		switch {
+		case sl.traceID != 0:
 			// The ring-walk span absorbs backend picking plus any pool
 			// dial the forward needed; its end is the issue timestamp.
 			now := time.Now()
@@ -737,15 +735,12 @@ func (pc *pconn) tryIssue(si int, sl *pslot) bool {
 				Proc: telemetry.ProcProxy, Stage: telemetry.StageRingWalk,
 			})
 			sl.issued = now
-			cl.GoTraced(sl.typ, sl.rk.name, sl.dst, sl.src, pc.done, uint64(si), sl.traceID, sl.traceFlags)
-			return true
-		}
-		if !sl.start.IsZero() {
+		case !sl.start.IsZero():
 			sl.issued = time.Now()
-		} else {
+		default:
 			sl.issued = time.Time{}
 		}
-		cl.GoTagged(sl.typ, sl.rk.name, sl.dst, sl.src, pc.done, uint64(si))
+		cl.GoTraced(sl.typ, sl.rk.name, sl.dst, sl.src, pc.done, uint64(si), sl.traceID, sl.traceFlags)
 		return true
 	}
 	return false
@@ -800,7 +795,7 @@ func (pc *pconn) writeLoop() {
 		pc.armWriteDeadline()
 		for {
 			if isLocal {
-				pc.writeRespTraced(l.id, l.typ, l.status, nil, l.traced, l.traceID, l.flags, nil)
+				pc.writeResp(l.id, l.typ, l.status, nil, l.traceID, l.flags, nil)
 			} else {
 				pc.handleCall(call)
 			}
@@ -830,7 +825,7 @@ func (pc *pconn) handleCall(call *server.Call) {
 	si := int(call.Tag)
 	sl := &pc.slots[si]
 	bk := sl.bk
-	if sl.traced {
+	if sl.traceID != 0 {
 		pc.noteForward(sl, call)
 	}
 	if call.Err != nil {
@@ -898,27 +893,18 @@ func (pc *pconn) finish(si int, sl *pslot, status uint8, bits []uint32) {
 			LatNs: lat.Nanoseconds(), Name: sl.rk.name,
 		})
 	}
-	pc.writeRespTraced(sl.id, sl.typ, status, bits, sl.traced, sl.traceID, sl.traceFlags, sl.spans)
+	pc.writeResp(sl.id, sl.typ, status, bits, sl.traceID, sl.traceFlags, sl.spans)
 	pc.releaseSlot(si, sl)
 }
 
-// writeResp frames one untraced (v1) response into the buffered
-// writer.
-func (pc *pconn) writeResp(id uint32, typ, status uint8, bits []uint32) {
-	pc.writeRespTraced(id, typ, status, bits, false, 0, 0, nil)
-}
-
-// writeRespTraced frames one response into the buffered writer: at v2
-// relaying the accumulated spans when traced, else at v1 with the
-// proxy's own version advertisement in the pad byte (so downstream
-// clients negotiate v2 against the proxy exactly as they would against
-// a backend). Write failures poison the connection but the loop keeps
-// consuming and discarding, so upstream completions are never blocked
-// on a dead downstream.
-func (pc *pconn) writeRespTraced(id uint32, typ, status uint8, bits []uint32, traced bool, traceID, flags uint64, spans []telemetry.SpanRecord) {
+// writeResp frames one response into the buffered writer, echoing the
+// trace block and relaying the accumulated spans of a traced frame.
+// Write failures poison the connection but the loop keeps consuming
+// and discarding, so upstream completions are never blocked on a dead
+// downstream.
+func (pc *pconn) writeResp(id uint32, typ, status uint8, bits []uint32, traceID, flags uint64, spans []telemetry.SpanRecord) {
 	pc.resp.ID, pc.resp.Type, pc.resp.Status, pc.resp.Bits = id, typ, status, bits
-	pc.resp.Traced, pc.resp.TraceID, pc.resp.TraceFlags, pc.resp.Spans = traced, traceID, flags, spans
-	pc.resp.Advert = server.MaxProtoVersion
+	pc.resp.TraceID, pc.resp.TraceFlags, pc.resp.Spans = traceID, flags, spans
 	var err error
 	pc.buf, err = server.AppendResponse(pc.buf[:0], &pc.resp)
 	if err != nil || pc.failed {

@@ -56,7 +56,7 @@ type Metrics struct {
 	Draining *telemetry.Gauge     // 1 while a graceful drain is running
 	Lat      *telemetry.Histogram // downstream request latency ns (admit → response queued)
 
-	TracedFrames *telemetry.Counter // downstream frames carrying a v2 trace context
+	TracedFrames *telemetry.Counter // downstream frames with a nonzero trace id
 	LatSampled   *telemetry.Counter // observations Lat actually received
 	flightDumps  *telemetry.Counter // flight-recorder anomaly dumps written
 }
@@ -92,7 +92,7 @@ func newMetrics() *Metrics {
 		Lat: reg.Histogram("rlibmproxy_request_latency_ns",
 			"downstream request latency, admission to response queued, in nanoseconds"),
 		TracedFrames: reg.Counter("rlibmproxy_traced_frames_total",
-			"downstream request frames carrying a v2 trace context"),
+			"downstream request frames with a nonzero trace id"),
 		LatSampled: reg.Counter("rlibmproxy_request_latency_sampled_total",
 			"requests the latency histogram observed (traced frames plus the 1-in-16 sample)"),
 		flightDumps: reg.Counter("rlibmproxy_flight_dumps_total",

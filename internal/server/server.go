@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -148,9 +147,8 @@ func (s *Server) Metrics() *Metrics { return s.m }
 func (s *Server) Flight() *telemetry.FlightRecorder { return s.flight }
 
 // AdminHandler serves the full admin surface: everything
-// Metrics.AdminHandler provides (/metrics, /debug/vars,
-// /debug/pprof/*) plus the flight recorder at /debug/flight and
-// /debug/flight/trigger.
+// Metrics.AdminHandler provides (/metrics, /debug/pprof/*) plus the
+// flight recorder at /debug/flight and /debug/flight/trigger.
 func (s *Server) AdminHandler() http.Handler {
 	return s.flight.AdminHandler(s.m.AdminHandler())
 }
@@ -302,11 +300,10 @@ func (w *connWriter) admit() {
 	w.outstanding.Add(1)
 }
 
-// add queues one response frame into the pending writev. Untraced
-// responses go out as v1 frames with the server's MaxProtoVersion
-// advertisement in the pad byte (v1 decoders never read it); traced
-// ones as v2 frames echoing the trace block plus the backend stage
-// spans stamped by runBatch.
+// add queues one response frame into the pending writev. Every frame
+// echoes the request's trace block; a traced one (nonzero trace id)
+// also carries the backend stage spans stamped by runBatch and leaves
+// an EvResponse in the flight recorder.
 func (w *connWriter) add(p *pending) {
 	width := TypeWidth(p.typ)
 	count := 0
@@ -314,8 +311,8 @@ func (w *connWriter) add(p *pending) {
 		count = len(p.dst)
 	}
 	off := len(w.hdrs)
-	if p.traced {
-		var spans []telemetry.SpanRecord
+	var spans []telemetry.SpanRecord
+	if p.traceID != 0 {
 		var lat int64
 		if p.tKern1 != 0 {
 			startNs := p.start.UnixNano()
@@ -325,7 +322,6 @@ func (w *connWriter) add(p *pending) {
 			spans = w.spanScratch[:3]
 			lat = p.tKern1 - startNs
 		}
-		w.hdrs = appendTracedResponseHeader(w.hdrs, p.status, p.typ, p.id, count, width, p.traceID, p.traceFlags, spans)
 		name := ""
 		if p.ks != nil {
 			name = p.ks.key.name
@@ -334,9 +330,8 @@ func (w *connWriter) add(p *pending) {
 			Kind: telemetry.EvResponse, Op: OpEval, Type: p.typ, Status: p.status,
 			ID: p.id, Count: uint32(count), TraceID: p.traceID, LatNs: lat, Name: name,
 		})
-	} else {
-		w.hdrs = appendResponseHeader(w.hdrs, p.status, p.typ, MaxProtoVersion, p.id, count, width)
 	}
+	w.hdrs = appendResponseHeader(w.hdrs, p.status, p.typ, p.id, count, width, p.traceID, p.traceFlags, spans)
 	w.bufs = append(w.bufs, w.hdrs[off:len(w.hdrs):len(w.hdrs)])
 	w.nbytes += int64(len(w.hdrs) - off)
 	if count > 0 {
@@ -478,97 +473,73 @@ func (s *Server) handleConn(conn net.Conn) {
 			// connection cannot continue either way).
 			if errors.Is(err, ErrFrameSize) {
 				s.m.Malformed.Add(1)
-				s.respond(w, 0, 0, StatusTooLarge)
+				s.respond(w, &ParsedRequest{}, StatusTooLarge)
 			} else if errors.Is(err, ErrBadFrame) {
 				s.m.Malformed.Add(1)
-				s.respond(w, 0, 0, StatusMalformed)
+				s.respond(w, &ParsedRequest{}, StatusMalformed)
 			}
 			return
 		}
-		if len(frame) < reqHeaderLen ||
-			(frame[0] != ProtoVersion && frame[0] != ProtoVersionTraced) {
-			s.malformed(w, frame)
+		pr, err := ParseRequest(frame)
+		if err != nil {
+			s.m.Malformed.Add(1)
+			s.flight.Record(&telemetry.WideEvent{Kind: telemetry.EvMalformed, ID: pr.ID})
+			s.respond(w, &ParsedRequest{ID: pr.ID}, StatusMalformed)
 			return
 		}
-		hdr := reqHeaderLen
-		traced := frame[0] == ProtoVersionTraced
-		var traceID, traceFlags uint64
-		if traced {
-			if len(frame) < reqHeaderLen+TraceBlockLen {
-				s.malformed(w, frame)
-				return
-			}
-			traceID = binary.LittleEndian.Uint64(frame[12:])
-			traceFlags = binary.LittleEndian.Uint64(frame[20:])
-			hdr += TraceBlockLen
+		if pr.TraceID != 0 {
 			s.m.TracedFrames.Add(1)
 		}
-		op, typ, nameLen := frame[1], frame[2], int(frame[3])
-		id := binary.LittleEndian.Uint32(frame[4:])
-		count := int(binary.LittleEndian.Uint32(frame[8:]))
-		if op == OpPing {
-			if nameLen != 0 || count != 0 || len(frame) != hdr {
-				s.malformed(w, frame)
-				return
-			}
+		if pr.Op == OpPing {
 			// A draining server is alive but not ready: answering pings
 			// with SHUTDOWN (instead of OK) lets health probes eject it
 			// before its listener disappears, so a fleet proxy reroutes
-			// new traffic while in-flight requests finish. Ping responses
-			// are always v1 — their pad-byte advertisement is how peers
-			// discover v2 support.
+			// new traffic while in-flight requests finish.
 			if s.draining.Load() {
-				s.respond(w, id, typ, StatusShutdown)
+				s.respond(w, &pr, StatusShutdown)
 				return
 			}
-			s.respond(w, id, typ, StatusOK)
+			s.respond(w, &pr, StatusOK)
 			continue
 		}
-		width := TypeWidth(typ)
-		if op != OpEval || width == 0 ||
-			len(frame) != hdr+nameLen+count*width {
-			s.malformed(w, frame)
-			return
-		}
-		name := frame[hdr : hdr+nameLen]
 		s.m.Requests.Add(1)
 		if s.draining.Load() {
 			s.m.ErrFrames.Add(1)
-			s.respondTraced(w, id, typ, StatusShutdown, traced, traceID, traceFlags)
+			s.respond(w, &pr, StatusShutdown)
 			return
 		}
-		ks := s.disp.lookup(typ, name)
+		ks := s.disp.lookup(pr.Type, pr.Name)
 		if ks == nil {
 			s.m.ErrFrames.Add(1)
 			s.flight.Record(&telemetry.WideEvent{
-				Kind: telemetry.EvFrame, Op: op, Type: typ, Status: StatusUnknownFunc,
-				ID: id, Count: uint32(count), Conn: hint, TraceID: traceID, Note: "unknown-func",
+				Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type, Status: StatusUnknownFunc,
+				ID: pr.ID, Count: uint32(pr.Count), Conn: hint, TraceID: pr.TraceID, Note: "unknown-func",
 			})
-			s.respondTraced(w, id, typ, StatusUnknownFunc, traced, traceID, traceFlags)
+			s.respond(w, &pr, StatusUnknownFunc)
 			continue
 		}
 		s.flight.Record(&telemetry.WideEvent{
-			Kind: telemetry.EvFrame, Op: op, Type: typ,
-			ID: id, Count: uint32(count), Conn: hint, TraceID: traceID, Name: ks.key.name,
+			Kind: telemetry.EvFrame, Op: pr.Op, Type: pr.Type,
+			ID: pr.ID, Count: uint32(pr.Count), Conn: hint, TraceID: pr.TraceID, Name: ks.key.name,
 		})
-		if count == 0 {
+		if pr.Count == 0 {
 			if ks.fm != nil {
 				ks.fm.Requests.Add(1)
 			}
-			s.respondTraced(w, id, typ, StatusOK, traced, traceID, traceFlags)
+			s.respond(w, &pr, StatusOK)
 			continue
 		}
-		p := getPending(count)
-		decodeValuesInto(p.src, frame[hdr+nameLen:], width)
+		p := getPending(pr.Count)
+		decodeValuesInto(p.src, pr.Payload, TypeWidth(pr.Type))
 		p.ks, p.out, p.start = ks, w, time.Now()
-		p.id, p.typ = id, typ
-		p.traced, p.traceID, p.traceFlags = traced, traceID, traceFlags
+		p.id, p.typ = pr.ID, pr.Type
+		p.traceID, p.traceFlags = pr.TraceID, pr.TraceFlags
 		w.admit()
 		if st := s.disp.submit(p, hint); st != StatusOK {
 			s.m.ErrFrames.Add(1)
 			s.flight.Record(&telemetry.WideEvent{
-				Kind: telemetry.EvShed, Op: op, Type: typ, Status: st,
-				ID: id, Count: uint32(count), Conn: hint, TraceID: traceID, Name: ks.key.name,
+				Kind: telemetry.EvShed, Op: pr.Op, Type: pr.Type, Status: st,
+				ID: pr.ID, Count: uint32(pr.Count), Conn: hint, TraceID: pr.TraceID, Name: ks.key.name,
 			})
 			if s.busyW.ObserveShed() {
 				s.flight.TriggerDump("busy-fraction")
@@ -580,38 +551,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.busyW.ObserveOK()
 		if ks.fm != nil {
 			ks.fm.Requests.Add(1)
-			ks.fm.Values.Add(uint64(count))
+			ks.fm.Values.Add(uint64(pr.Count))
 		}
 	}
 }
 
 // respond enqueues a payload-free response (ping, empty eval, or an
 // error status) through the writer, in arrival order with the data
-// path.
-func (s *Server) respond(w *connWriter, id uint32, typ, status uint8) {
-	s.respondTraced(w, id, typ, status, false, 0, 0)
-}
-
-// respondTraced is respond carrying the request's trace context, so
-// error statuses for traced frames still echo the trace block (the
+// path. It echoes the request's id, type code and trace block, so
+// error statuses for traced frames stay in the caller's trace (the
 // proxy relays them downstream under the same trace id).
-func (s *Server) respondTraced(w *connWriter, id uint32, typ, status uint8, traced bool, traceID, traceFlags uint64) {
+func (s *Server) respond(w *connWriter, pr *ParsedRequest, status uint8) {
 	p := getPending(0)
-	p.id, p.typ, p.status = id, typ, status
-	p.traced, p.traceID, p.traceFlags = traced, traceID, traceFlags
+	p.id, p.typ, p.status = pr.ID, pr.Type, status
+	p.traceID, p.traceFlags = pr.TraceID, pr.TraceFlags
 	p.out = w
 	w.admit()
 	w.respq <- p
-}
-
-// malformed counts and answers a protocol violation; the caller closes
-// the connection (the stream position is untrustworthy).
-func (s *Server) malformed(w *connWriter, frame []byte) {
-	s.m.Malformed.Add(1)
-	id := uint32(0)
-	if len(frame) >= 8 {
-		id = binary.LittleEndian.Uint32(frame[4:])
-	}
-	s.flight.Record(&telemetry.WideEvent{Kind: telemetry.EvMalformed, ID: id})
-	s.respond(w, id, 0, StatusMalformed)
 }

@@ -67,32 +67,42 @@ func TestPingAndErrorStatuses(t *testing.T) {
 
 func TestMalformedFrameClosesConnection(t *testing.T) {
 	s, addr := startServer(t, Config{Workers: 2})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		frame []byte
+	}{
+		// A frame too short to hold the request header.
+		{"truncated header", []byte{8, 0, 0, 0, ProtoVersion, OpEval, TFloat32, 0, 0, 0, 0, 0}},
+		// A complete ping in the retired version 1 layout, which had
+		// no trace block: the version byte alone rejects it.
+		{"v1 ping", []byte{12, 0, 0, 0, 1, OpPing, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}},
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	// A frame that decodes as a request header but lies about its
-	// payload length.
-	conn.Write([]byte{8, 0, 0, 0, ProtoVersion, OpEval, TFloat32, 0, 0, 0, 0, 0})
-	br := bufio.NewReader(conn)
-	frame, _, err := readFrame(br, nil, DefaultMaxFrame)
-	if err != nil {
-		t.Fatalf("expected an error frame before close: %v", err)
-	}
-	resp, err := DecodeResponse(frame)
-	if err != nil {
-		t.Fatalf("error frame malformed: %v", err)
-	}
-	if resp.Status != StatusMalformed {
-		t.Errorf("status = %s, want MALFORMED", StatusText(resp.Status))
-	}
-	if _, _, err := readFrame(br, nil, DefaultMaxFrame); err == nil {
-		t.Error("connection stayed open after malformed frame")
-	}
-	if got := s.Metrics().Malformed.Load(); got != 1 {
-		t.Errorf("malformed counter = %d, want 1", got)
+	for i, tc := range cases {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		conn.Write(tc.frame)
+		br := bufio.NewReader(conn)
+		frame, _, err := readFrame(br, nil, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("%s: expected an error frame before close: %v", tc.name, err)
+		}
+		resp, err := DecodeResponse(frame)
+		if err != nil {
+			t.Fatalf("%s: error frame malformed: %v", tc.name, err)
+		}
+		if resp.Status != StatusMalformed {
+			t.Errorf("%s: status = %s, want MALFORMED", tc.name, StatusText(resp.Status))
+		}
+		if _, _, err := readFrame(br, nil, DefaultMaxFrame); err == nil {
+			t.Errorf("%s: connection stayed open after malformed frame", tc.name)
+		}
+		if got := s.Metrics().Malformed.Load(); got != uint64(i+1) {
+			t.Errorf("%s: malformed counter = %d, want %d", tc.name, got, i+1)
+		}
 	}
 }
 

@@ -1,22 +1,17 @@
 // Server observability on the shared internal/telemetry registry.
 //
-// This replaces the ad-hoc expvar histogram file the server started
-// with: every counter now lives in a telemetry.Registry, which gives
+// This replaces the ad-hoc histogram file the server started with: every counter now lives in a telemetry.Registry, which gives
 // the daemon a Prometheus /metrics endpoint, midpoint-interpolated
 // percentiles (the old histogram reported the bucket upper bound —
 // up to 2x high; the midpoint is within −25%/+50%, documented on
 // telemetry.Histogram.Quantile), and one registry that other layers
-// (oracle cache, runtime kernels) can export through. The expvar
-// /debug/vars view is kept for compatibility, rendered from the same
-// registry-backed values.
+// (oracle cache, runtime kernels) can export through.
 package server
 
 import (
-	"expvar"
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"sync/atomic"
 
 	"rlibm32/internal/telemetry"
 )
@@ -44,7 +39,7 @@ type Metrics struct {
 	ErrFrames     *telemetry.Counter // error responses sent (any non-OK status)
 	Batches       *telemetry.Counter // coalesced batches dispatched to kernels
 	BatchedValues *telemetry.Counter // values across all dispatched batches
-	TracedFrames  *telemetry.Counter // v2 request frames carrying a trace context
+	TracedFrames  *telemetry.Counter // request frames with a nonzero trace id
 
 	batchSize    *telemetry.Histogram // values per coalesced batch
 	shedValues   *telemetry.Counter   // values refused by admission control
@@ -79,7 +74,7 @@ func newMetrics(keys []batchKey) *Metrics {
 		BatchedValues: reg.Counter("rlibmd_batched_values_total",
 			"values across all dispatched batches"),
 		TracedFrames: reg.Counter("rlibmd_traced_frames_total",
-			"request frames carrying a v2 trace context"),
+			"request frames with a nonzero trace id"),
 		batchSize: reg.Histogram("rlibmd_batch_size",
 			"values per coalesced kernel batch (power-of-two buckets)"),
 		shedValues: reg.Counter("rlibmd_shed_values_total",
@@ -129,8 +124,8 @@ func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 // outside the registry — callers count those under ErrFrames only).
 func (m *Metrics) forKey(k batchKey) *funcMetrics { return m.byKey[k] }
 
-// Snapshot renders every counter as a plain map, the shape expvar
-// wants. Percentiles are computed from the histograms at read time
+// Snapshot renders every counter as a plain map, for in-process
+// readers such as the benchmark harness. Percentiles are computed from the histograms at read time
 // using midpoint interpolation (error bound on Histogram.Quantile).
 func (m *Metrics) Snapshot() map[string]any {
 	perFunc := make(map[string]any, len(m.byKey))
@@ -183,26 +178,12 @@ func (m *Metrics) Snapshot() map[string]any {
 	return out
 }
 
-// publishOnce guards the process-global expvar name: expvar.Publish
-// panics on duplicates, and tests construct many servers.
-var publishOnce atomic.Bool
-
-// Publish exports the metrics under the expvar name "rlibmd". Only the
-// first server in a process wins the global name; later servers are
-// still readable through AdminHandler, which closes over the instance.
-func (m *Metrics) Publish() {
-	if publishOnce.CompareAndSwap(false, true) {
-		expvar.Publish("rlibmd", expvar.Func(func() any { return m.Snapshot() }))
-	}
-}
-
 // AdminHandler serves the observability surface: Prometheus text
-// format at /metrics (this server's registry), the legacy expvar JSON
-// at /debug/vars, and the standard /debug/pprof endpoints.
+// format at /metrics (this server's registry) and the standard
+// /debug/pprof endpoints.
 func (m *Metrics) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", m.reg.Handler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

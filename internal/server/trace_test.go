@@ -7,38 +7,33 @@ import (
 	"rlibm32/internal/telemetry"
 )
 
-// TestTracedRequestRoundTrip checks that a v2 request frame carries its
-// trace block through encode→parse unchanged, and that v1 frames keep
-// parsing exactly as before (Traced false, no trace fields).
+// TestTracedRequestRoundTrip checks that a request frame carries its
+// trace block through encode→parse unchanged, and that an untraced
+// request (trace id 0) uses the same layout with a zero block.
 func TestTracedRequestRoundTrip(t *testing.T) {
 	cases := []*Request{
 		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 7, Bits: []uint32{0x3f800000},
-			Traced: true, TraceID: 0xdeadbeefcafef00d, TraceFlags: 0x1},
+			TraceID: 0xdeadbeefcafef00d, TraceFlags: 0x1},
 		{Op: OpEval, Type: TPosit16, Name: "ln", ID: 1, Bits: []uint32{1, 2, 3},
-			Traced: true, TraceID: 1, TraceFlags: 0},
-		{Op: OpPing, Traced: true, TraceID: 42, TraceFlags: 7},
-		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 9, Bits: []uint32{5}}, // v1 control
+			TraceID: 1, TraceFlags: 0},
+		{Op: OpPing, TraceID: 42, TraceFlags: 7},
+		{Op: OpEval, Type: TFloat32, Name: "exp", ID: 9, Bits: []uint32{5}}, // untraced control
 	}
 	for _, req := range cases {
 		enc, err := AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", req, err)
 		}
-		if want := uint8(ProtoVersion); req.Traced {
-			want = ProtoVersionTraced
-			if enc[4] != want {
-				t.Errorf("traced frame version byte %d, want %d", enc[4], want)
-			}
-		} else if enc[4] != want {
-			t.Errorf("v1 frame version byte %d, want %d", enc[4], want)
+		if enc[4] != ProtoVersion {
+			t.Errorf("frame version byte %d, want %d", enc[4], ProtoVersion)
 		}
 		pr, err := ParseRequest(enc[4:])
 		if err != nil {
 			t.Fatalf("parse %+v: %v", req, err)
 		}
-		if pr.Traced != req.Traced || pr.TraceID != req.TraceID || pr.TraceFlags != req.TraceFlags {
-			t.Errorf("trace context: got (%v %#x %#x) want (%v %#x %#x)",
-				pr.Traced, pr.TraceID, pr.TraceFlags, req.Traced, req.TraceID, req.TraceFlags)
+		if pr.TraceID != req.TraceID || pr.TraceFlags != req.TraceFlags {
+			t.Errorf("trace context: got (%#x %#x) want (%#x %#x)",
+				pr.TraceID, pr.TraceFlags, req.TraceID, req.TraceFlags)
 		}
 		if pr.Op != req.Op || pr.Type != req.Type || pr.ID != req.ID {
 			t.Errorf("header mismatch: got %+v want %+v", pr, req)
@@ -47,17 +42,15 @@ func TestTracedRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %+v: %v", req, err)
 		}
-		if got.Traced != req.Traced || got.TraceID != req.TraceID || got.TraceFlags != req.TraceFlags {
+		if got.TraceID != req.TraceID || got.TraceFlags != req.TraceFlags {
 			t.Errorf("DecodeRequest trace context: got %+v want %+v", got, req)
 		}
 	}
 }
 
-// TestTracedResponseRoundTrip checks that a v2 response echoes the
-// trace block and span records exactly, that the span count saturates
-// at the pad byte's capacity, and that the v1 pad-byte advertisement is
-// surfaced without disturbing any v1 semantics — the mechanism that
-// lets old peers ignore the whole extension.
+// TestTracedResponseRoundTrip checks that a response echoes the trace
+// block and span records exactly, and that the span count saturates at
+// the capacity of its header byte.
 func TestTracedResponseRoundTrip(t *testing.T) {
 	spans := []telemetry.SpanRecord{
 		{Start: 1000, Dur: 50, Proc: telemetry.ProcBackend, Stage: telemetry.StageQueue},
@@ -66,7 +59,7 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 	}
 	resp := &Response{
 		Status: StatusOK, Type: TFloat32, ID: 7, Bits: []uint32{0x40000000, 0x3f000000},
-		Traced: true, TraceID: 0xbeef, TraceFlags: 3, Spans: spans,
+		TraceID: 0xbeef, TraceFlags: 3, Spans: spans,
 	}
 	enc, err := AppendResponse(nil, resp)
 	if err != nil {
@@ -76,7 +69,7 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Traced || got.TraceID != resp.TraceID || got.TraceFlags != resp.TraceFlags {
+	if got.TraceID != resp.TraceID || got.TraceFlags != resp.TraceFlags {
 		t.Errorf("trace context: got %+v want %+v", got, resp)
 	}
 	if len(got.Spans) != len(spans) {
@@ -91,12 +84,12 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 		t.Errorf("payload mismatch: got %+v want %+v", got, resp)
 	}
 
-	// Span count saturates at the pad byte's range.
+	// Span count saturates at the header byte's range.
 	big := make([]telemetry.SpanRecord, maxFrameSpans+20)
 	for i := range big {
 		big[i] = telemetry.SpanRecord{Start: int64(i), Proc: telemetry.ProcProxy, Stage: telemetry.StageForward}
 	}
-	enc, err = AppendResponse(nil, &Response{Status: StatusOK, Traced: true, TraceID: 1, Spans: big})
+	enc, err = AppendResponse(nil, &Response{Status: StatusOK, TraceID: 1, Spans: big})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,61 +100,53 @@ func TestTracedResponseRoundTrip(t *testing.T) {
 	if len(got.Spans) != maxFrameSpans {
 		t.Errorf("oversized span list: got %d spans back, want truncation to %d", len(got.Spans), maxFrameSpans)
 	}
-
-	// A v1 response whose pad byte carries a version advertisement must
-	// decode identically to one whose pad byte is zero, advert aside:
-	// that byte is invisible to pre-tracing decoders.
-	adv := &Response{Status: StatusOK, Type: TFloat32, ID: 3, Advert: MaxProtoVersion, Bits: []uint32{9}}
-	enc, err = AppendResponse(nil, adv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if enc[4] != ProtoVersion {
-		t.Fatalf("advertising response must stay v1, got version %d", enc[4])
-	}
-	got, err = DecodeResponse(enc[4:])
-	if err != nil {
-		t.Fatalf("v1 decoder rejected advertising response: %v", err)
-	}
-	if got.Traced || got.Advert != MaxProtoVersion || got.Status != StatusOK || got.ID != 3 || len(got.Bits) != 1 {
-		t.Errorf("advertising response decoded as %+v", got)
-	}
 }
 
-// TestTracedFrameErrors checks the malformed-frame edges the trace
-// extension adds: truncated trace blocks, span counts that overrun the
-// frame, and version bytes beyond what we speak.
+// TestTracedFrameErrors checks the malformed-frame edges of the trace
+// block: truncated headers, span counts that overrun the frame, and
+// version bytes other than ProtoVersion — including 1, the retired
+// layout without the block.
 func TestTracedFrameErrors(t *testing.T) {
 	req, _ := AppendRequest(nil, &Request{
 		Op: OpEval, Type: TFloat32, Name: "exp", Bits: []uint32{1},
-		Traced: true, TraceID: 5, TraceFlags: 0,
+		TraceID: 5, TraceFlags: 0,
 	})
 	frame := req[4:]
 
 	reqCases := map[string][]byte{
-		"trace block truncated": frame[:reqHeaderLen+TraceBlockLen-3],
-		"future version":        mutate(frame, 0, MaxProtoVersion+1),
-		"v2 length mismatch":    frame[:len(frame)-1],
+		"trace block truncated": frame[:reqHeaderLen-3],
+		"v1 version":            mutate(frame, 0, 1),
+		"future version":        mutate(frame, 0, ProtoVersion+1),
+		"length mismatch":       frame[:len(frame)-1],
 	}
 	for name, f := range reqCases {
 		if _, err := ParseRequest(f); err == nil {
 			t.Errorf("%s: ParseRequest accepted malformed frame", name)
 		}
 	}
-	if _, err := ParseRequest(mutate(frame, 0, MaxProtoVersion+1)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("future version: err = %v, want ErrBadVersion", err)
+	for _, v := range []byte{1, ProtoVersion + 1} {
+		if _, err := ParseRequest(mutate(frame, 0, v)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
+	}
+	// A version 1 frame is shorter than the current header; the version
+	// byte, not the length, is what rejects it.
+	v1, _ := AppendRequest(nil, &Request{Op: OpPing})
+	if _, err := ParseRequest(mutate(v1[4:reqHeaderLen+4-TraceBlockLen], 0, 1)); !errors.Is(err, ErrBadVersion) {
+		t.Errorf("short v1 frame: err = %v, want ErrBadVersion", err)
 	}
 
 	resp, _ := AppendResponse(nil, &Response{
 		Status: StatusOK, Type: TFloat32, ID: 1, Bits: []uint32{2},
-		Traced: true, TraceID: 5,
-		Spans: []telemetry.SpanRecord{{Start: 1, Dur: 1, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}},
+		TraceID: 5,
+		Spans:   []telemetry.SpanRecord{{Start: 1, Dur: 1, Proc: telemetry.ProcBackend, Stage: telemetry.StageKernel}},
 	})
 	rframe := resp[4:]
 	respCases := map[string][]byte{
 		"span records truncated": rframe[:len(rframe)-5],
 		"span count overruns":    mutate(rframe, 3, 200), // claims 200 spans, frame has 1
-		"future version":         mutate(rframe, 0, MaxProtoVersion+1),
+		"v1 version":             mutate(rframe, 0, 1),
+		"future version":         mutate(rframe, 0, ProtoVersion+1),
 	}
 	for name, f := range respCases {
 		if _, err := DecodeResponse(f); err == nil {
@@ -170,9 +155,10 @@ func TestTracedFrameErrors(t *testing.T) {
 	}
 }
 
-// FuzzTracedFrame fuzzes the v2 encode→decode path: arbitrary trace
-// ids, flags and span payloads must round-trip exactly, and arbitrary
-// mutations of a valid traced frame must never panic the parsers.
+// FuzzTracedFrame fuzzes the trace block's encode→decode path:
+// arbitrary trace ids (0 = untraced), flags and span payloads must
+// round-trip exactly, and arbitrary mutations of a valid frame must
+// never panic the parsers.
 func FuzzTracedFrame(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint8(3), []byte{1, 2, 3}, -1, byte(0))
 	f.Add(uint64(0xffffffffffffffff), uint64(7), uint8(0), []byte{}, 0, byte(99))
@@ -193,7 +179,7 @@ func FuzzTracedFrame(f *testing.F) {
 		}
 
 		req := &Request{Op: OpEval, Type: TFloat32, Name: "exp", ID: 9, Bits: bits,
-			Traced: true, TraceID: traceID, TraceFlags: flags}
+			TraceID: traceID, TraceFlags: flags}
 		enc, err := AppendRequest(nil, req)
 		if err != nil {
 			t.Fatalf("encode traced request: %v", err)
@@ -202,12 +188,12 @@ func FuzzTracedFrame(f *testing.F) {
 		if err != nil {
 			t.Fatalf("parse traced request: %v", err)
 		}
-		if !pr.Traced || pr.TraceID != traceID || pr.TraceFlags != flags || pr.Count != len(bits) {
+		if pr.TraceID != traceID || pr.TraceFlags != flags || pr.Count != len(bits) {
 			t.Fatalf("request trace context mismatch: %+v", pr)
 		}
 
 		resp := &Response{Status: StatusOK, Type: TFloat32, ID: 9, Bits: bits,
-			Traced: true, TraceID: traceID, TraceFlags: flags, Spans: spans}
+			TraceID: traceID, TraceFlags: flags, Spans: spans}
 		renc, err := AppendResponse(nil, resp)
 		if err != nil {
 			t.Fatalf("encode traced response: %v", err)
@@ -237,11 +223,12 @@ func FuzzTracedFrame(f *testing.F) {
 	})
 }
 
-// TestEndToEndTrace drives a traced request through a live server:
-// negotiation via the ping advertisement, the trace id echoed on the
-// response, and the three backend pipeline spans (queue, coalesce,
-// kernel) stamped with plausible timings — while results stay
-// bit-exact with the in-process library.
+// TestEndToEndTrace drives traced requests through a live server. The
+// first call on a freshly dialled client, with no Ping before it, must
+// come back with its trace id echoed and the three backend pipeline
+// spans (queue, coalesce, kernel) stamped with plausible timings —
+// while results stay bit-exact with the in-process library. An
+// untraced call on the same connection then carries no spans.
 func TestEndToEndTrace(t *testing.T) {
 	_, addr := startServer(t, Config{Workers: 2})
 	c, err := Dial(addr)
@@ -254,24 +241,8 @@ func TestEndToEndTrace(t *testing.T) {
 	dst := make([]uint32, len(in))
 	done := make(chan *Call, 1)
 
-	// Before any response arrives the peer version is unknown, so a
-	// traced issue must degrade silently to v1: the call still succeeds
-	// but carries no trace context back.
-	call := <-c.GoTraced(TFloat32, "exp", dst, in, done, 0, 0x1111, 0).Done
-	if call.Err != nil || call.Status != StatusOK {
-		t.Fatalf("pre-negotiation call: status %s err %v", StatusText(call.Status), call.Err)
-	}
-	if call.TraceID != 0 || len(call.Spans) != 0 {
-		t.Fatalf("pre-negotiation call carried trace context: id %#x, %d spans", call.TraceID, len(call.Spans))
-	}
-
-	// That response's pad byte advertised v2; from here tracing is live.
-	if v := c.PeerVersion(); v != MaxProtoVersion {
-		t.Fatalf("peer version after first response: %d, want %d", v, MaxProtoVersion)
-	}
-
 	const traceID = 0xdecafbad
-	call = <-c.GoTraced(TFloat32, "exp", dst, in, done, 0, traceID, 0).Done
+	call := <-c.GoTraced(TFloat32, "exp", dst, in, done, 0, traceID, 0).Done
 	if call.Err != nil || call.Status != StatusOK {
 		t.Fatalf("traced call: status %s err %v", StatusText(call.Status), call.Err)
 	}
@@ -303,5 +274,13 @@ func TestEndToEndTrace(t *testing.T) {
 			t.Errorf("span %s has implausible timing: start %d dur %d",
 				telemetry.SpanName(s.Proc, s.Stage), s.Start, s.Dur)
 		}
+	}
+
+	call = <-c.Go(TFloat32, "exp", dst, in, done).Done
+	if call.Err != nil || call.Status != StatusOK {
+		t.Fatalf("untraced call: status %s err %v", StatusText(call.Status), call.Err)
+	}
+	if call.TraceID != 0 || len(call.Spans) != 0 {
+		t.Errorf("untraced call came back with trace id %#x and %d spans", call.TraceID, len(call.Spans))
 	}
 }
