@@ -249,6 +249,8 @@ type funcStats struct {
 	ColdSolves       int     `json:"lp_cold_solves"`
 	OracleQueries    int     `json:"oracle_queries"`
 	MaxZivPrec       uint    `json:"max_ziv_precision_bits"`
+	OracleTier0      uint64  `json:"oracle_tier0"`
+	OracleZivRuns    uint64  `json:"oracle_ziv_runs"`
 }
 
 // writeStatsJSON writes the machine-readable generation summary for
@@ -278,6 +280,8 @@ func writeStatsJSON(path string, all []gentool.Stats) error {
 			ColdSolves:       s.ColdSolves,
 			OracleQueries:    s.OracleQueries,
 			MaxZivPrec:       s.MaxZivPrec,
+			OracleTier0:      s.OracleTier0,
+			OracleZivRuns:    s.OracleZivRuns,
 		})
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

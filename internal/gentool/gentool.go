@@ -117,10 +117,14 @@ type Stats struct {
 	// MaxZivPrec is the highest Ziv-ladder precision (bits) any oracle
 	// evaluation needed while this function generated; 0 means every
 	// evaluation was decided by the float64 tier-0 guard or the cache.
-	// Exact when one function generates at a time (rlibmgen -jobs=1);
-	// with concurrent generation the process-wide ladder counters
-	// overlap and the value is an upper bound.
-	MaxZivPrec uint
+	// OracleTier0 and OracleZivRuns count the uncached evaluations
+	// decided by that guard and by the ladder. All three are exact when
+	// one function generates at a time (rlibmgen -jobs=1); with
+	// concurrent generation the process-wide ladder counters overlap
+	// and the values are upper bounds.
+	MaxZivPrec    uint
+	OracleTier0   uint64
+	OracleZivRuns uint64
 }
 
 // Result is one generated function implementation.
@@ -220,13 +224,14 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 	cons := make([][]polygen.Constraint, nf)
 	oracleStart := time.Now()
 	osp := tc.Start("oracle.constraints")
-	cs0 := oracle.Stats()
+	cs0, z0 := oracle.Stats(), oracle.Ziv()
 	newCons, err := constraintsFor(fam, tgt, gen, cfg.Workers)
 	if osp != nil {
-		cs1 := oracle.Stats()
+		cs1, z := oracle.Stats(), oracle.Ziv().Sub(z0)
 		osp.Arg("inputs", len(gen)).
 			Arg("cache_hits", int64(cs1.Hits-cs0.Hits)).
-			Arg("ziv_runs", int64(cs1.Misses-cs0.Misses))
+			Arg("tier0", int64(z.Tier0)).
+			Arg("ziv_runs", int64(z.Runs()-z.Tier0))
 		osp.End()
 	}
 	oracleQueries += len(gen)
@@ -343,6 +348,7 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 		}
 	}
 
+	ziv := oracle.Ziv().Sub(ziv0)
 	res.Stats = Stats{
 		Name:             name,
 		Variant:          cfg.Variant.String(),
@@ -361,7 +367,9 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 		ColdSolves:       pstats.ColdSolves,
 		Pivots:           pstats.Pivots,
 		OracleQueries:    oracleQueries,
-		MaxZivPrec:       oracle.Ziv().Sub(ziv0).MaxPrec(),
+		MaxZivPrec:       ziv.MaxPrec(),
+		OracleTier0:      ziv.Tier0,
+		OracleZivRuns:    ziv.Runs() - ziv.Tier0,
 	}
 	for _, pw := range res.Pieces {
 		n, deg, terms := 0, 0, 0
@@ -501,16 +509,10 @@ func constraintsFor(fam rangered.Family, tgt interval.Target, xs []float64, work
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			// Per-worker scratch: the reduced-value slice and output-
-			// compensation closure are reused across inputs instead of
-			// allocating once per input.
-			var valBuf [2]float64
+			// Per-worker output-compensation closure, reused across
+			// inputs instead of allocating once per input.
 			var ocC rangered.Ctx
-			oc := func(vs []float64) float64 {
-				var a [2]float64
-				copy(a[:], vs)
-				return fam.OC(a, ocC)
-			}
+			oc := func(vs [2]float64) float64 { return fam.OC(vs, ocC) }
 			funcs := fam.Funcs()
 			for idx := lo; idx < hi; idx++ {
 				x := xs[idx]
@@ -523,12 +525,12 @@ func constraintsFor(fam rangered.Family, tgt interval.Target, xs []float64, work
 					continue
 				}
 				r, c := fam.Reduce(x)
-				vals := valBuf[:0]
-				for _, rf := range funcs {
-					vals = append(vals, oracle.Float64(rf, r))
+				var vals [2]float64
+				for i, rf := range funcs {
+					vals[i] = oracle.Float64(rf, r)
 				}
 				ocC = c
-				los, his, ctrs, ok := redint.Deduce(vals, oc, iv)
+				los, his, ctrs, ok := redint.Deduce(vals, nf, oc, iv)
 				if !ok {
 					errMu.Lock()
 					if firstErr == nil {
@@ -537,11 +539,7 @@ func constraintsFor(fam rangered.Family, tgt interval.Target, xs []float64, work
 					errMu.Unlock()
 					return
 				}
-				it := item{ok: true, r: r, x: x}
-				copy(it.los[:], los)
-				copy(it.his[:], his)
-				copy(it.ctrs[:], ctrs)
-				items[idx] = it
+				items[idx] = item{ok: true, r: r, los: los, his: his, ctrs: ctrs, x: x}
 			}
 		}(lo, hi)
 	}

@@ -1,11 +1,15 @@
 package gentool
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"sort"
 	"testing"
 
+	"rlibm32/internal/oracle"
 	"rlibm32/internal/rangered"
+	"rlibm32/internal/telemetry"
 )
 
 func TestSampleOrdinalsProperties(t *testing.T) {
@@ -95,5 +99,54 @@ func TestExtraInputsFiltered(t *testing.T) {
 	}
 	if inDomains(fam, 200) {
 		t.Error("200 should be outside exp's polynomial domains")
+	}
+}
+
+// TestGenerateOracleCounters checks the oracle attribution of one
+// cold-cache generation: the oracle.constraints span splits the
+// uncached evaluations into tier0 and ziv_runs (ladder runs only, not
+// every cache miss), and Stats carries the function's totals.
+func TestGenerateOracleCounters(t *testing.T) {
+	oracle.ResetCache()
+	defer oracle.ResetCache()
+	tr := telemetry.NewTrace(0)
+	res, err := GenerateFunc("exp", Config{Variant: rangered.VPosit32, InputsPerFunc: 400, ValidatePerFunc: 400, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string             `json:"name"`
+			Args map[string]float64 `json:"args"`
+		} `json:"traceEvents"`
+	}
+	// Unmarshal skips args that are not numbers (the refeed flag).
+	json.Unmarshal(buf.Bytes(), &doc)
+	found := false
+	for _, ev := range doc.TraceEvents {
+		if ev.Name != "oracle.constraints" || ev.Args["inputs"] == 0 {
+			continue
+		}
+		found = true
+		inputs := int64(ev.Args["inputs"])
+		tier0, ziv := int64(ev.Args["tier0"]), int64(ev.Args["ziv_runs"])
+		t.Logf("oracle.constraints over %d inputs: tier0 %d, ziv_runs %d", inputs, tier0, ziv)
+		// Each input queries posit32 exp (tier 0 decides almost all)
+		// and the float64 reduced function (ladder only).
+		if tier0 < inputs/2 || ziv < inputs/2 || ziv > inputs+tier0/8 {
+			t.Error("tier0/ziv_runs split does not match one posit32 and one float64 query per input")
+		}
+		if st := res.Stats; st.OracleTier0 < uint64(tier0) || st.OracleZivRuns < uint64(ziv) {
+			t.Errorf("Stats tier0 %d / ziv runs %d below the first pass's %d / %d",
+				st.OracleTier0, st.OracleZivRuns, tier0, ziv)
+		}
+		break
+	}
+	if !found {
+		t.Fatal("no oracle.constraints span with inputs")
 	}
 }

@@ -1,5 +1,6 @@
 // Guard-band escalation: the cheap front half of the exhaustive
-// verifier's two-tier oracle.
+// verifier's two-tier oracle, and tier 0 of the float32 and posit32
+// oracles.
 //
 // A double-precision approximation of f(x) that is accurate to within a
 // known number of float64 ulps determines the correctly rounded float32
@@ -7,6 +8,8 @@
 // boundary (the midpoint of two adjacent float32 values) is ~2^28
 // float64 ulps away from a random double, so a guard band of a few
 // hundred ulps around the approximation almost never straddles one.
+// The same holds for posit32, whose rounding boundaries are at least
+// ~2^25 float64 ulps apart (27 fraction bits at most, near 1).
 // Only when it does — or when the caller has independent reason to
 // distrust the approximation — must the full Ziv ladder run.
 package oracle
@@ -15,6 +18,7 @@ import (
 	"math"
 
 	"rlibm32/internal/bigfp"
+	"rlibm32/posit32"
 )
 
 // DefaultGuardUlps is the guard-band half-width used by the exhaustive
@@ -54,6 +58,29 @@ func RoundDecided32(ref float64, guardUlps float64) (float32, bool) {
 		return float32(ref), true
 	}
 	return float32(ref), false
+}
+
+// RoundDecidedPosit32 is RoundDecided32 for posit32: it rounds ref to
+// posit32 and reports whether every value in the guard band rounds to
+// the same posit, in which case that posit IS the correct rounding of
+// the true value (given the accuracy contract). Posit rounding is
+// monotone, so the two ends of the band decide.
+//
+// Unlike float32, a zero or non-finite reference is never decided:
+// posits saturate instead of underflowing or overflowing, so a double
+// that underflowed to zero stands for ±MinPos or exactly zero, and one
+// that overflowed stands for ±MaxPos; the ladder settles those. NaN
+// references are not decided either.
+func RoundDecidedPosit32(ref float64, guardUlps float64) (posit32.Posit, bool) {
+	if ref == 0 || math.IsInf(ref, 0) || math.IsNaN(ref) {
+		return posit32.NaR, false
+	}
+	eps := guardUlps * (0x1p-52*math.Abs(ref) + 0x1p-1074)
+	a := posit32.FromFloat64(ref - eps)
+	if a != posit32.FromFloat64(ref+eps) {
+		return posit32.FromFloat64(ref), false
+	}
+	return a, true
 }
 
 // Float32Guarded returns the correctly rounded float32 of f(x) using

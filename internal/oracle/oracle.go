@@ -136,8 +136,9 @@ func float32Uncached(f bigfp.Func, x float64) float32 {
 	// Tier 0: a double-precision reference plus guard band decides the
 	// float32 rounding for all but a ~2^-19 sliver of inputs at the cost
 	// of one math-package call (see ref.go and guard.go). Restricted to
-	// float32-origin inputs — the accuracy contract the exhaustive
-	// sweeps validated — and undecided bands fall through to the ladder.
+	// float32-origin inputs — the domain where every reference keeps
+	// its accuracy contract, which the exhaustive sweeps validated — and
+	// undecided bands fall through to the ladder.
 	if ref, ok := ref64[f]; ok && float64(float32(x)) == x {
 		if v, decided := RoundDecided32(ref(x), DefaultGuardUlps); decided {
 			noteTier0()
@@ -203,6 +204,22 @@ func posit32Uncached(f bigfp.Func, x float64) posit32.Posit {
 	if y, ok := domainEdge(f, x); ok {
 		return posit32.FromFloat64(y) // NaN and ±Inf map to NaR
 	}
+	// Tier 0 as in float32Uncached, for the references that keep their
+	// accuracy contract on every double (not sinpi/cospi): a posit32
+	// input is a double with up to 27 significand bits, not a float32.
+	// A zero or non-finite reference, or an undecided band, falls
+	// through to the ladder.
+	if ref, ok := ref64[f]; ok && refEveryDouble(f) {
+		if v, decided := RoundDecidedPosit32(ref(x), DefaultGuardUlps); decided {
+			noteTier0()
+			return v
+		}
+	}
+	return posit32Ziv(f, x)
+}
+
+// posit32Ziv runs the Ziv ladder for the posit32 rounding of f(x).
+func posit32Ziv(f bigfp.Func, x float64) posit32.Posit {
 	s := zivPool.Get().(*zivScratch)
 	defer zivPool.Put(s)
 	var last posit32.Posit

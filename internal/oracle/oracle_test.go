@@ -144,3 +144,114 @@ func BenchmarkOracleFloat32Exp(b *testing.B) {
 		Float32(bigfp.Exp, 1.5+float64(i%100)*1e-4)
 	}
 }
+
+// positEdgeInputs lists the posit32 inputs where a tier-0 guard band is
+// most likely to be wrong: the saturation ends, the regime boundaries
+// (powers of 16, where the fraction width changes), the neighbours of
+// 1, small arguments (exp near 0) and a run of posits just above and
+// below 1 (log near 1), plus 0x400035f0, where math.Log2's cancellation
+// just above 1 decides log2 wrongly.
+func positEdgeInputs() []posit32.Posit {
+	var ps []posit32.Posit
+	add := func(p posit32.Posit, n int) {
+		up, down := p, p
+		ps = append(ps, p, p.Neg())
+		for i := 0; i < n; i++ {
+			up, down = up.NextUp(), down.NextDown()
+			ps = append(ps, up, up.Neg(), down, down.Neg())
+		}
+	}
+	add(posit32.MinPos, 4)
+	add(posit32.MaxPos, 4)
+	for e := -120; e <= 120; e += 4 {
+		add(posit32.FromFloat64(math.Ldexp(1, e)), 2)
+	}
+	for e := -120; e < 0; e++ {
+		add(posit32.FromFloat64(math.Ldexp(1, e)), 1)
+	}
+	add(posit32.FromFloat64(1), 4096)
+	return append(ps, posit32.FromBits(0x400035f0))
+}
+
+// checkPositTier0 asserts that tier 0 agrees with the ladder wherever it
+// decides, and returns how many inputs it decided.
+func checkPositTier0(t *testing.T, f bigfp.Func, ps []posit32.Posit) (decided int) {
+	t.Helper()
+	ref := ref64[f]
+	for _, p := range ps {
+		if p.IsNaR() {
+			continue
+		}
+		x := p.Float64()
+		if _, edge := domainEdge(f, x); edge {
+			continue
+		}
+		v, ok := RoundDecidedPosit32(ref(x), DefaultGuardUlps)
+		if !ok {
+			continue
+		}
+		decided++
+		if want := posit32Ziv(f, x); v != want {
+			t.Errorf("%v(%#08x = %v): tier 0 decided %#08x, ladder %#08x",
+				f, p.Bits(), x, v.Bits(), want.Bits())
+		}
+	}
+	return decided
+}
+
+// TestPosit32Tier0MatchesLadder checks the posit32 guard band against
+// the Ziv ladder for every function whose reference holds on every
+// double: on the edge inputs and on 2^16 seeded random posits each.
+func TestPosit32Tier0MatchesLadder(t *testing.T) {
+	edges := positEdgeInputs()
+	for f := range ref64 {
+		if !refEveryDouble(f) {
+			continue
+		}
+		t.Run(f.String(), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(int64(f) + 14))
+			ps := append([]posit32.Posit(nil), edges...)
+			for i := 0; i < 1<<16; i++ {
+				ps = append(ps, posit32.FromBits(rng.Uint32()))
+			}
+			if n := checkPositTier0(t, f, ps); n < len(ps)/4 {
+				t.Errorf("tier 0 decided only %d of %d inputs", n, len(ps))
+			}
+		})
+	}
+}
+
+// TestPosit32Tier0Declines checks where tier 0 must not decide: a zero,
+// infinite or NaN reference (posits saturate, so those say nothing
+// about the result), and sinpi/cospi, whose references need
+// float32-origin inputs.
+func TestPosit32Tier0Declines(t *testing.T) {
+	for _, ref := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, ok := RoundDecidedPosit32(ref, DefaultGuardUlps); ok {
+			t.Errorf("RoundDecidedPosit32(%v) decided", ref)
+		}
+	}
+	ResetCache()
+	defer ResetCache()
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 256; i++ {
+		x := posit32.FromBits(rng.Uint32()).Float64()
+		Posit32(bigfp.SinPi, x)
+		Posit32(bigfp.CosPi, x)
+	}
+	// exp underflows the double reference to 0 and overflows it to
+	// +Inf long before posit32 saturates: the ladder must answer.
+	for _, x := range []float64{-800, -1e6, 800, 1e6} {
+		Posit32(bigfp.Exp, x)
+	}
+	if got := Posit32(bigfp.Exp, -800); got != posit32.MinPos {
+		t.Errorf("exp(-800) = %#08x, want MinPos", got.Bits())
+	}
+	if got := Posit32(bigfp.Exp, 800); got != posit32.MaxPos {
+		t.Errorf("exp(800) = %#08x, want MaxPos", got.Bits())
+	}
+	if z := Ziv(); z.Tier0 != 0 || z.Runs() == 0 {
+		t.Errorf("tier 0 decided %d of %d evaluations, want 0", z.Tier0, z.Runs())
+	}
+}

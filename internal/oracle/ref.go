@@ -2,11 +2,19 @@
 // ladder.
 //
 // Each reference computes f(x) in float64 with a small known ulp error
-// so that RoundDecided32 can certify the float32 rounding for almost
-// every input without spinning up big.Float at all. Seven of the ten
-// functions map straight onto Go's math package (documented/observed
-// accuracy of a couple of ulps). The remaining three need care:
+// so that RoundDecided32 and RoundDecidedPosit32 can certify the
+// rounding for almost every input without spinning up big.Float at all.
+// Six of the ten functions map straight onto Go's math package
+// (documented/observed accuracy of a couple of ulps). The remaining four
+// need care:
 //
+//   - log2 is not math.Log2: that computes Log(frac)·(1/ln2) + exp
+//     after Frexp, and for x just above 1 (frac just above 1/2, exp = 1)
+//     the final addition cancels to a result whose absolute error is a
+//     double ulp of 1: 2.7·10^6 ulps of log2(1+2^-23), and a wrong
+//     posit32 rounding at the posit 0x400035f0 (1.0001028…).
+//     math.Log(x)·(1/ln2) keeps Log's relative accuracy everywhere
+//     (three roundings in total).
 //   - exp10 has no math counterpart; math.Pow(10, x) loses accuracy as
 //     |x·ln10| grows, so a compensated exp(x·ln10) with a double-double
 //     ln10 constant is used instead.
@@ -23,7 +31,12 @@
 // (internal/exhaust, all 2^32 inputs per function) validate the
 // combination of these references with RoundDecided32 against the
 // generated tables, so the tier-0 fast path rests on swept evidence,
-// not just the analytic ulp argument.
+// not just the analytic ulp argument. The other eight references keep
+// the contract on every double (refEveryDouble), which is where
+// posit32Uncached consults them: posit32 inputs carry up to 27
+// significand bits. Their posit32 tier 0 is checked against the ladder
+// on the posit edges and on 2^16 seeded random posits per function
+// (oracle_test.go), not swept exhaustively.
 package oracle
 
 import (
@@ -106,10 +119,16 @@ func cospiRef(x float64) float64 {
 	return c
 }
 
+// log2Ref computes log2(x) as ln(x)·(1/ln2), accurate to a few ulps of
+// relative error on every double, including just above 1.
+func log2Ref(x float64) float64 {
+	return math.Log(x) * (1 / math.Ln2)
+}
+
 // ref64 maps each oracle function to its double reference.
 var ref64 = map[bigfp.Func]func(float64) float64{
 	bigfp.Log:   math.Log,
-	bigfp.Log2:  math.Log2,
+	bigfp.Log2:  log2Ref,
 	bigfp.Log10: math.Log10,
 	bigfp.Exp:   math.Exp,
 	bigfp.Exp2:  math.Exp2,
@@ -118,6 +137,14 @@ var ref64 = map[bigfp.Func]func(float64) float64{
 	bigfp.Cosh:  math.Cosh,
 	bigfp.SinPi: sinpiRef,
 	bigfp.CosPi: cospiRef,
+}
+
+// refEveryDouble reports whether f's reference keeps its accuracy
+// contract on every double, not only on float32-origin inputs: all but
+// sinpi/cospi, whose exact argument reduction needs a 24-bit
+// significand.
+func refEveryDouble(f bigfp.Func) bool {
+	return f != bigfp.SinPi && f != bigfp.CosPi
 }
 
 // Ref64 returns the double-precision reference evaluator for f, or
