@@ -42,13 +42,6 @@ func drawInput(rng *rand.Rand, name string) float32 {
 	return float32(d[0] + rng.Float64()*(d[1]-d[0]))
 }
 
-var oracleFuncs = map[string]bigfp.Func{
-	"ln": bigfp.Log, "log2": bigfp.Log2, "log10": bigfp.Log10,
-	"exp": bigfp.Exp, "exp2": bigfp.Exp2, "exp10": bigfp.Exp10,
-	"sinh": bigfp.Sinh, "cosh": bigfp.Cosh,
-	"sinpi": bigfp.SinPi, "cospi": bigfp.CosPi,
-}
-
 // TestAccuracyClasses verifies that each baseline sits in its intended
 // accuracy class relative to the oracle: FastFloat/VecFloat within a
 // few float32 ulps (but not correct), StdDouble within 1 ulp, CRDouble
@@ -58,7 +51,7 @@ func TestAccuracyClasses(t *testing.T) {
 		t.Skip("oracle-heavy")
 	}
 	rng := rand.New(rand.NewSource(20))
-	for name, of := range oracleFuncs {
+	for name, of := range crFuncs {
 		for i := 0; i < 150; i++ {
 			x := drawInput(rng, name)
 			want := oracle.Float32(of, float64(x))
@@ -90,26 +83,6 @@ func TestAccuracyClasses(t *testing.T) {
 				if e > limit {
 					t.Errorf("%s/%s(%v) = %v, want %v (%.1f ulp, limit %.0f)", lib, name, x, got, want, e, limit)
 				}
-			}
-		}
-	}
-}
-
-// TestCRDoubleCorrectAtDouble checks that CRDouble matches the oracle's
-// correctly rounded double results.
-func TestCRDoubleCorrectAtDouble(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oracle-heavy")
-	}
-	rng := rand.New(rand.NewSource(21))
-	for name, of := range oracleFuncs {
-		f := crDouble(name)
-		for i := 0; i < 200; i++ {
-			x := float64(drawInput(rng, name))
-			got := f(x)
-			want := oracle.Float64(of, x)
-			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-				t.Errorf("crdouble %s(%v) = %b, want %b", name, x, got, want)
 			}
 		}
 	}

@@ -1,420 +1,32 @@
 package baselines
 
 import (
-	"math"
-	"math/big"
-
 	"rlibm32/internal/bigfp"
-	"rlibm32/internal/dd"
 	"rlibm32/internal/oracle"
 )
 
 // CRDouble: a correctly rounded double-precision library in the style
-// of CR-LIBM (Ziv's two-step strategy): a fast double-double evaluation
-// with a conservative error bound decides most roundings; inputs whose
-// value lands too close to a double rounding boundary fall back to the
-// arbitrary-precision oracle. Rounding its double result to float32 —
-// how the paper uses CR-LIBM for 32-bit comparisons — exhibits exactly
-// CR-LIBM's double-rounding failures in Table 1.
+// of CR-LIBM (Ziv's two-step strategy). It is the float64 oracle
+// itself: a double-double evaluation with a proven error bound decides
+// most roundings, and inputs whose value lands too close to a double
+// rounding boundary fall back to the arbitrary-precision ladder.
+// Rounding its double result to float32 — how the paper uses CR-LIBM
+// for 32-bit comparisons — exhibits exactly CR-LIBM's double-rounding
+// failures in Table 1.
 
-// errRel bounds the relative error of the dd kernels (conservative:
-// the kernels are analysed to ~2^-90).
-const errRel = 0x1p-80
-
-// crRound rounds a dd value with error bound |v|·errRel to double,
-// falling back to fb on ambiguity.
-func crRound(v dd.DD, fb func() float64) float64 {
-	e := math.Abs(v.Hi) * errRel
-	lo := v.Hi + (v.Lo - e)
-	hi := v.Hi + (v.Lo + e)
-	if lo == hi {
-		return lo
-	}
-	return fb()
-}
-
-// ddConsts holds double-double constants and tables, built once from
-// the arbitrary-precision layer.
-type ddConsts struct {
-	ln2, invLn2, ln10 dd.DD
-	c64               dd.DD // ln2/64
-	invC64            float64
-	c64Ten            dd.DD // log10(2)/64
-	invC64Ten         float64
-	pi                dd.DD
-	exp2T             [64]dd.DD  // 2^(j/64)
-	lnF               [128]dd.DD // ln(1 + j/128)
-	invF              [128]dd.DD // 1/(1 + j/128)
-	factInv           [32]dd.DD  // 1/n!
-	oddFact           [16]dd.DD  // 1/(2k+1)!
-	evenFact          [16]dd.DD  // 1/(2k)!
-}
-
-var cr ddConsts
-
-func toDD(f *big.Float) dd.DD {
-	hi, _ := f.Float64()
-	rest := new(big.Float).SetPrec(f.Prec()).Sub(f, new(big.Float).SetFloat64(hi))
-	lo, _ := rest.Float64()
-	return dd.DD{Hi: hi, Lo: lo}
-}
-
-func init() {
-	const p = 160
-	ln2 := bigfp.Ln2(p)
-	ln10 := bigfp.Ln10(p)
-	cr.ln2 = toDD(ln2)
-	cr.ln10 = toDD(ln10)
-	cr.pi = toDD(bigfp.Pi(p))
-	inv := new(big.Float).SetPrec(p).Quo(big.NewFloat(1), ln2)
-	cr.invLn2 = toDD(inv)
-	c := new(big.Float).SetPrec(p).Quo(ln2, big.NewFloat(64))
-	cr.c64 = toDD(c)
-	cr.invC64, _ = new(big.Float).SetPrec(p).Quo(big.NewFloat(1), c).Float64()
-	cten := new(big.Float).SetPrec(p).Quo(ln2, ln10)
-	cten.Quo(cten, big.NewFloat(64))
-	cr.c64Ten = toDD(cten)
-	cr.invC64Ten, _ = new(big.Float).SetPrec(p).Quo(big.NewFloat(1), cten).Float64()
-	for j := 0; j < 64; j++ {
-		cr.exp2T[j] = toDD(bigfp.Eval(bigfp.Exp2, float64(j)*0x1p-6, p))
-	}
-	for j := 1; j < 128; j++ {
-		f := 1 + float64(j)*0x1p-7
-		cr.lnF[j] = toDD(bigfp.Eval(bigfp.Log, f, p))
-		cr.invF[j] = toDD(new(big.Float).SetPrec(p).Quo(big.NewFloat(1), big.NewFloat(f)))
-	}
-	cr.invF[0] = dd.FromFloat64(1)
-	fact := new(big.Float).SetPrec(p).SetInt64(1)
-	for n := range cr.factInv {
-		if n > 0 {
-			fact.Mul(fact, new(big.Float).SetPrec(p).SetInt64(int64(n)))
-		}
-		cr.factInv[n] = toDD(new(big.Float).SetPrec(p).Quo(big.NewFloat(1), fact))
-	}
-	for k := range cr.oddFact {
-		if 2*k+1 < len(cr.factInv) {
-			cr.oddFact[k] = cr.factInv[2*k+1]
-		} else {
-			f := new(big.Float).SetPrec(p).SetInt64(1)
-			for i := int64(2); i <= int64(2*k+1); i++ {
-				f.Mul(f, new(big.Float).SetPrec(p).SetInt64(i))
-			}
-			cr.oddFact[k] = toDD(new(big.Float).SetPrec(p).Quo(big.NewFloat(1), f))
-		}
-	}
-	for k := range cr.evenFact {
-		if 2*k < len(cr.factInv) {
-			cr.evenFact[k] = cr.factInv[2*k]
-		} else {
-			f := new(big.Float).SetPrec(p).SetInt64(1)
-			for i := int64(2); i <= int64(2*k); i++ {
-				f.Mul(f, new(big.Float).SetPrec(p).SetInt64(i))
-			}
-			cr.evenFact[k] = toDD(new(big.Float).SetPrec(p).Quo(big.NewFloat(1), f))
-		}
-	}
-}
-
-// expKernel computes e^r in dd for |r| <= 0.011 (degree-10 Taylor:
-// truncation below 2^-100 of the result).
-func expKernel(r dd.DD) dd.DD {
-	acc := cr.factInv[10]
-	for n := 9; n >= 0; n-- {
-		acc = dd.Add(dd.Mul(acc, r), cr.factInv[n])
-	}
-	return acc
-}
-
-// expDDReduced performs the 64-way reduction and returns 2^m·T[j]·e^r.
-func expDDReduced(x float64, c dd.DD, invC float64, lnBase dd.DD) dd.DD {
-	k := math.Round(x * invC)
-	r := dd.Add(dd.FromFloat64(x), dd.Neg(dd.MulF(c, k)))
-	if lnBase != (dd.DD{Hi: 1}) {
-		r = dd.Mul(r, lnBase)
-	}
-	e := expKernel(r)
-	ki := int(k)
-	m := ki >> 6
-	j := ki - (m << 6)
-	return dd.Scale(dd.Mul(cr.exp2T[j], e), m)
-}
-
-func crExp(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > 710:
-		return math.Inf(1)
-	case x < -745:
-		return 0
-	case x == 0:
-		return 1
-	}
-	v := expDDReduced(x, cr.c64, cr.invC64, dd.DD{Hi: 1})
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.Exp, x) })
-}
-
-func crExp2(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > 1025:
-		return math.Inf(1)
-	case x < -1076:
-		return 0
-	case x == math.Trunc(x) && x > -1022 && x < 1024:
-		return math.Ldexp(1, int(x))
-	}
-	k := math.Round(x * 64)
-	r := dd.MulF(cr.ln2, (x*64-k)*0x1p-6) // x − k/64 exact, scaled by ln2
-	e := expKernel(r)
-	ki := int(k)
-	m := ki >> 6
-	j := ki - (m << 6)
-	v := dd.Scale(dd.Mul(cr.exp2T[j], e), m)
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.Exp2, x) })
-}
-
-func crExp10(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > 309:
-		return math.Inf(1)
-	case x < -324.5:
-		return 0
-	case x == 0:
-		return 1
-	}
-	v := expDDReduced(x, cr.c64Ten, cr.invC64Ten, cr.ln10)
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.Exp10, x) })
-}
-
-// logKernel computes ln(1+r) for 0 <= r < 2^-7 via the dd atanh series.
-func logKernel(r dd.DD) dd.DD {
-	// s = r / (2 + r); ln(1+r) = 2(s + s³/3 + s⁵/5 + s⁷/7)
-	s := dd.Div(r, dd.AddF(r, 2))
-	s2 := dd.Mul(s, s)
-	acc := dd.FromFloat64(1.0 / 7)
-	acc = dd.Add(dd.Mul(acc, s2), dd.FromFloat64(0.2))
-	acc = dd.Add(dd.Mul(acc, s2), dd.DD{Hi: 1.0 / 3, Lo: 1.8503717077085942e-17})
-	acc = dd.Add(dd.Mul(acc, s2), dd.FromFloat64(1))
-	return dd.Scale(dd.Mul(acc, s), 1)
-}
-
-func crLogBase(x float64, scale dd.DD, f bigfp.Func, fb bigfp.Func) float64 {
-	switch {
-	case math.IsNaN(x) || x < 0:
-		return math.NaN()
-	case x == 0:
-		return math.Inf(-1)
-	case math.IsInf(x, 1):
-		return x
-	case x == 1:
-		return 0
-	}
-	fr, e := math.Frexp(x)
-	mhat := 2 * fr
-	ep := e - 1
-	j := int((mhat - 1) * 128)
-	F := 1 + float64(j)*0x1p-7
-	r := dd.MulF(cr.invF[j], mhat-F) // (m̂−F)·(1/F): numerator exact
-	l := dd.Add(logKernel(r), cr.lnF[j])
-	l = dd.Add(l, dd.MulF(cr.ln2, float64(ep)))
-	if scale != (dd.DD{Hi: 1}) {
-		l = dd.Mul(l, scale)
-	}
-	return crRound(l, func() float64 { return oracle.Float64(fb, x) })
-}
-
-func crLog(x float64) float64 {
-	return crLogBase(x, dd.DD{Hi: 1}, bigfp.Log, bigfp.Log)
-}
-
-var invLn2DD, invLn10DD dd.DD
-
-func init() {
-	const p = 160
-	invLn2DD = toDD(new(big.Float).SetPrec(p).Quo(big.NewFloat(1), bigfp.Ln2(p)))
-	invLn10DD = toDD(new(big.Float).SetPrec(p).Quo(big.NewFloat(1), bigfp.Ln10(p)))
-}
-
-func crLog2(x float64) float64 {
-	return crLogBase(x, invLn2DD, bigfp.Log2, bigfp.Log2)
-}
-
-func crLog10(x float64) float64 {
-	return crLogBase(x, invLn10DD, bigfp.Log10, bigfp.Log10)
-}
-
-// sinhKernelSmall computes sinh(x) for |x| < 0.5 by the odd dd Taylor
-// series (terms through x^21).
-func sinhKernelSmall(x dd.DD) dd.DD {
-	x2 := dd.Mul(x, x)
-	acc := cr.oddFact[10]
-	for k := 9; k >= 0; k-- {
-		acc = dd.Add(dd.Mul(acc, x2), cr.oddFact[k])
-	}
-	return dd.Mul(acc, x)
-}
-
-func crSinh(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > 711:
-		return math.Inf(1)
-	case x < -711:
-		return math.Inf(-1)
-	case x == 0:
-		return x
-	}
-	ax := math.Abs(x)
-	var v dd.DD
-	if ax < 0.5 {
-		v = sinhKernelSmall(dd.FromFloat64(ax))
-	} else {
-		e := expDDReduced(ax, cr.c64, cr.invC64, dd.DD{Hi: 1})
-		inv := dd.Div(dd.FromFloat64(1), e)
-		v = dd.Scale(dd.Add(e, dd.Neg(inv)), -1)
-	}
-	if x < 0 {
-		v = dd.Neg(v)
-	}
-	fn := x
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.Sinh, fn) })
-}
-
-func crCosh(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return x
-	case x > 711 || x < -711:
-		return math.Inf(1)
-	case x == 0:
-		return 1
-	}
-	ax := math.Abs(x)
-	e := expDDReduced(ax, cr.c64, cr.invC64, dd.DD{Hi: 1})
-	inv := dd.Div(dd.FromFloat64(1), e)
-	v := dd.Scale(dd.Add(e, inv), -1)
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.Cosh, x) })
-}
-
-// sinKernel/cosKernel: dd Taylor for 0 <= t <= π/2 (terms through
-// t^29/t^30: truncation ~2^-94 at t = π/2).
-func sinKernel(t dd.DD) dd.DD {
-	t2 := dd.Mul(t, t)
-	acc := dd.DD{}
-	for k := 14; k >= 0; k-- {
-		c := cr.oddFact[k]
-		if k%2 == 1 {
-			c = dd.Neg(c)
-		}
-		acc = dd.Add(dd.Mul(acc, t2), c)
-	}
-	return dd.Mul(acc, t)
-}
-
-func cosKernel(t dd.DD) dd.DD {
-	t2 := dd.Mul(t, t)
-	acc := dd.DD{}
-	for k := 15; k >= 0; k-- {
-		c := cr.evenFact[k]
-		if k%2 == 1 {
-			c = dd.Neg(c)
-		}
-		acc = dd.Add(dd.Mul(acc, t2), c)
-	}
-	return acc
-}
-
-// piReduceExact mirrors the exact reduction used everywhere else.
-func piReduceExact(x float64) (L float64, sSign, cSign float64) {
-	sSign, cSign = 1, 1
-	y := math.Abs(x)
-	if x < 0 {
-		sSign = -1
-	}
-	j := math.Mod(y, 2)
-	if j >= 1 {
-		j -= 1
-		sSign = -sSign
-		cSign = -cSign
-	}
-	if j > 0.5 {
-		j = 1 - j
-		cSign = -cSign
-	}
-	return j, sSign, cSign
-}
-
-func crSinpi(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return math.NaN()
-	}
-	if math.Abs(x) >= 0x1p53 {
-		return 0
-	}
-	L, s, _ := piReduceExact(x)
-	if L == 0 {
-		return 0 * s
-	}
-	t := dd.MulF(cr.pi, L)
-	var v dd.DD
-	if L <= 0.25 {
-		v = sinKernel(t)
-	} else {
-		v = cosKernel(dd.MulF(cr.pi, 0.5-L))
-	}
-	v = dd.MulF(v, s)
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.SinPi, x) })
-}
-
-func crCospi(x float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return math.NaN()
-	}
-	if math.Abs(x) >= 0x1p53 {
-		return 1
-	}
-	L, _, c := piReduceExact(x)
-	if L == 0.5 {
-		return 0
-	}
-	var v dd.DD
-	if L <= 0.25 {
-		v = cosKernel(dd.MulF(cr.pi, L))
-	} else {
-		v = sinKernel(dd.MulF(cr.pi, 0.5-L))
-	}
-	v = dd.MulF(v, c)
-	return crRound(v, func() float64 { return oracle.Float64(bigfp.CosPi, x) })
+// crFuncs maps the library's function names to the oracle's.
+var crFuncs = map[string]bigfp.Func{
+	"ln": bigfp.Log, "log2": bigfp.Log2, "log10": bigfp.Log10,
+	"exp": bigfp.Exp, "exp2": bigfp.Exp2, "exp10": bigfp.Exp10,
+	"sinh": bigfp.Sinh, "cosh": bigfp.Cosh,
+	"sinpi": bigfp.SinPi, "cospi": bigfp.CosPi,
 }
 
 // crDouble dispatches the CRDouble implementation by name.
 func crDouble(name string) func(float64) float64 {
-	switch name {
-	case "ln":
-		return crLog
-	case "log2":
-		return crLog2
-	case "log10":
-		return crLog10
-	case "exp":
-		return crExp
-	case "exp2":
-		return crExp2
-	case "exp10":
-		return crExp10
-	case "sinh":
-		return crSinh
-	case "cosh":
-		return crCosh
-	case "sinpi":
-		return crSinpi
-	case "cospi":
-		return crCospi
+	f, ok := crFuncs[name]
+	if !ok {
+		return nil
 	}
-	return nil
+	return func(x float64) float64 { return oracle.Float64(f, x) }
 }

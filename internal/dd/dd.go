@@ -2,10 +2,11 @@
 // two float64 values hi + lo with |lo| <= ulp(hi)/2, providing roughly
 // 106 bits of significand.
 //
-// It is the workhorse of the CRDouble baseline library (the repo's
-// CR-LIBM stand-in) and of the oracle's fast path: a double-double
-// evaluation with a known error bound lets Ziv's strategy decide most
-// roundings without falling back to arbitrary precision.
+// It is the workhorse of the float64 oracle's tier 0
+// (internal/oracle/ddeval.go), which is also the CRDouble baseline
+// library (the repo's CR-LIBM stand-in): a double-double evaluation
+// with a known error bound lets Ziv's strategy decide most roundings
+// without falling back to arbitrary precision.
 //
 // The error-free transforms follow the classical algorithms (Dekker,
 // Knuth, Ogita–Rump–Oishi); TwoProd uses the hardware FMA via math.FMA.

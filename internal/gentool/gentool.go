@@ -116,9 +116,11 @@ type Stats struct {
 	OracleQueries int
 	// MaxZivPrec is the highest Ziv-ladder precision (bits) any oracle
 	// evaluation needed while this function generated; 0 means every
-	// evaluation was decided by the float64 tier-0 guard or the cache.
+	// evaluation was served by the cache or decided by tier 0 (the
+	// double reference guard band for the target, the double-double
+	// evaluator for the float64 reduced-function values).
 	// OracleTier0 and OracleZivRuns count the uncached evaluations
-	// decided by that guard and by the ladder. All three are exact when
+	// decided by tier 0 and by the ladder. All three are exact when
 	// one function generates at a time (rlibmgen -jobs=1); with
 	// concurrent generation the process-wide ladder counters overlap
 	// and the values are upper bounds.

@@ -6,7 +6,9 @@
 // (microseconds per input) dominates both. The cache below makes every
 // repeat evaluation a map lookup. It is sharded to keep lock
 // contention negligible under the harnesses' GOMAXPROCS worker pools,
-// and stores results as raw bit patterns (4 or 8 bytes per entry).
+// and stores float32 and posit32 results as raw 4-byte bit patterns.
+// Float64 has no cache: with its double-double tier 0 deciding, a
+// cache made generation no faster.
 package oracle
 
 import (
@@ -40,11 +42,6 @@ type shard32 struct {
 	m  map[ckey]uint32
 }
 
-type shard64 struct {
-	mu sync.RWMutex
-	m  map[ckey]uint64
-}
-
 // tkey extends ckey with the target name for the generic Target cache
 // (the 16-bit exhaustive checks).
 type tkey struct {
@@ -65,7 +62,6 @@ type shardT struct {
 
 var (
 	f32Shards [numShards]shard32 // float32 results as IEEE bits
-	f64Shards [numShards]shard64 // float64 results as IEEE bits
 	p32Shards [numShards]shard32 // posit32 results as posit bits
 	tgtShards [numShards]shardT  // generic target results
 
@@ -92,12 +88,6 @@ func Stats() CacheStats {
 func ResetCache() {
 	for i := range f32Shards {
 		s := &f32Shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-	for i := range f64Shards {
-		s := &f64Shards[i]
 		s.mu.Lock()
 		s.m = nil
 		s.mu.Unlock()
@@ -137,28 +127,6 @@ func cachedFloat32(f bigfp.Func, x float64) float32 {
 		s.m = make(map[ckey]uint32)
 	}
 	s.m[k] = math.Float32bits(y)
-	s.mu.Unlock()
-	return y
-}
-
-func cachedFloat64(f bigfp.Func, x float64) float64 {
-	bits := math.Float64bits(x)
-	s := &f64Shards[shardOf(f, bits)]
-	k := ckey{f, bits}
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	if ok {
-		cacheHits.Add(1)
-		return math.Float64frombits(v)
-	}
-	cacheMisses.Add(1)
-	y := float64Uncached(f, x)
-	s.mu.Lock()
-	if s.m == nil {
-		s.m = make(map[ckey]uint64)
-	}
-	s.m[k] = math.Float64bits(y)
 	s.mu.Unlock()
 	return y
 }
@@ -246,11 +214,6 @@ func precompute(n int, eval func(i int)) {
 // After it returns, Float32(f, x) is a lookup for every x in xs.
 func PrecomputeFloat32(f bigfp.Func, xs []float32) {
 	precompute(len(xs), func(i int) { cachedFloat32(f, float64(xs[i])) })
-}
-
-// PrecomputeFloat64 bulk-fills the float64 oracle cache for f over xs.
-func PrecomputeFloat64(f bigfp.Func, xs []float64) {
-	precompute(len(xs), func(i int) { cachedFloat64(f, xs[i]) })
 }
 
 // PrecomputePosit32 bulk-fills the posit32 oracle cache for f over ps.

@@ -10,12 +10,18 @@
 // rounding-distance results (Lefèvre-Muller) for double precision,
 // which dominate the 32-bit targets used here.
 //
-// All entry points are memoized in a concurrent sharded cache keyed by
-// (function, input bits) — see cache.go — so a harness that checks N
-// libraries against the same input sample pays for the Ziv loop once
-// per (function, input) rather than once per (function, input,
-// library). PrecomputeFloat32 and friends bulk-fill the cache in
-// parallel.
+// Every entry point first tries a tier 0 that decides almost every
+// rounding without big.Float: a double reference plus guard band for
+// the 32-bit targets (ref.go, guard.go) and a double-double evaluator
+// for float64 (ddeval.go).
+//
+// The 32-bit and generic-target entry points are memoized in a
+// concurrent sharded cache keyed by (function, input bits) — see
+// cache.go — so a harness that checks N libraries against the same
+// input sample pays for the Ziv loop once per (function, input) rather
+// than once per (function, input, library). PrecomputeFloat32 and
+// friends bulk-fill the cache in parallel. Float64 is not memoized:
+// with its tier 0 deciding, a cache made generation no faster.
 package oracle
 
 import (
@@ -165,17 +171,24 @@ func float32Uncached(f bigfp.Func, x float64) float32 {
 	return last
 }
 
-// Float64 returns the correctly rounded float64 value of f(x), used
-// both for the reduced-function oracle values of Algorithm 2 and for
-// the CRDouble baseline library. Results are memoized.
+// Float64 returns the correctly rounded float64 value of f(x). It is
+// both the reduced-function oracle of Algorithm 2 and the CRDouble
+// baseline library. The double-double tier 0 (ddeval.go) decides it
+// unless the value lies too close to a rounding boundary, is zero,
+// subnormal or infinite, or no kernel covers x; those run the ladder.
 func Float64(f bigfp.Func, x float64) float64 {
-	return cachedFloat64(f, x)
-}
-
-func float64Uncached(f bigfp.Func, x float64) float64 {
 	if y, ok := domainEdge(f, x); ok {
 		return y
 	}
+	if y, ok := float64Tier0(f, x); ok {
+		noteTier0()
+		return y
+	}
+	return float64Ziv(f, x)
+}
+
+// float64Ziv runs the Ziv ladder for the float64 rounding of f(x).
+func float64Ziv(f bigfp.Func, x float64) float64 {
 	s := zivPool.Get().(*zivScratch)
 	defer zivPool.Put(s)
 	var last float64
@@ -204,12 +217,12 @@ func posit32Uncached(f bigfp.Func, x float64) posit32.Posit {
 	if y, ok := domainEdge(f, x); ok {
 		return posit32.FromFloat64(y) // NaN and ±Inf map to NaR
 	}
-	// Tier 0 as in float32Uncached, for the references that keep their
-	// accuracy contract on every double (not sinpi/cospi): a posit32
-	// input is a double with up to 27 significand bits, not a float32.
-	// A zero or non-finite reference, or an undecided band, falls
-	// through to the ladder.
-	if ref, ok := ref64[f]; ok && refEveryDouble(f) {
+	// Tier 0 as in float32Uncached, with references that keep their
+	// accuracy contract on every double (posit32Ref): a posit32 input
+	// is a double with up to 27 significand bits, not a float32. A zero
+	// or non-finite reference, or an undecided band, falls through to
+	// the ladder.
+	if ref := posit32Ref(f); ref != nil {
 		if v, decided := RoundDecidedPosit32(ref(x), DefaultGuardUlps); decided {
 			noteTier0()
 			return v

@@ -177,7 +177,7 @@ func positEdgeInputs() []posit32.Posit {
 // decides, and returns how many inputs it decided.
 func checkPositTier0(t *testing.T, f bigfp.Func, ps []posit32.Posit) (decided int) {
 	t.Helper()
-	ref := ref64[f]
+	ref := posit32Ref(f)
 	for _, p := range ps {
 		if p.IsNaR() {
 			continue
@@ -200,14 +200,12 @@ func checkPositTier0(t *testing.T, f bigfp.Func, ps []posit32.Posit) (decided in
 }
 
 // TestPosit32Tier0MatchesLadder checks the posit32 guard band against
-// the Ziv ladder for every function whose reference holds on every
-// double: on the edge inputs and on 2^16 seeded random posits each.
+// the Ziv ladder for all ten functions, sinpi/cospi through the
+// double-double kernels: on the edge inputs and on 2^16 seeded random
+// posits each.
 func TestPosit32Tier0MatchesLadder(t *testing.T) {
 	edges := positEdgeInputs()
 	for f := range ref64 {
-		if !refEveryDouble(f) {
-			continue
-		}
 		t.Run(f.String(), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(int64(f) + 14))
@@ -224,8 +222,7 @@ func TestPosit32Tier0MatchesLadder(t *testing.T) {
 
 // TestPosit32Tier0Declines checks where tier 0 must not decide: a zero,
 // infinite or NaN reference (posits saturate, so those say nothing
-// about the result), and sinpi/cospi, whose references need
-// float32-origin inputs.
+// about the result), including sinpi/cospi at their exact zeros.
 func TestPosit32Tier0Declines(t *testing.T) {
 	for _, ref := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
 		if _, ok := RoundDecidedPosit32(ref, DefaultGuardUlps); ok {
@@ -234,11 +231,13 @@ func TestPosit32Tier0Declines(t *testing.T) {
 	}
 	ResetCache()
 	defer ResetCache()
-	rng := rand.New(rand.NewSource(14))
-	for i := 0; i < 256; i++ {
-		x := posit32.FromBits(rng.Uint32()).Float64()
-		Posit32(bigfp.SinPi, x)
-		Posit32(bigfp.CosPi, x)
+	for _, x := range []float64{1, -2, 3} {
+		if got := Posit32(bigfp.SinPi, x); got != posit32.Zero {
+			t.Errorf("sinpi(%v) = %#08x, want 0", x, got.Bits())
+		}
+		if got := Posit32(bigfp.CosPi, x+0.5); got != posit32.Zero {
+			t.Errorf("cospi(%v) = %#08x, want 0", x+0.5, got.Bits())
+		}
 	}
 	// exp underflows the double reference to 0 and overflows it to
 	// +Inf long before posit32 saturates: the ladder must answer.

@@ -32,11 +32,12 @@
 // combination of these references with RoundDecided32 against the
 // generated tables, so the tier-0 fast path rests on swept evidence,
 // not just the analytic ulp argument. The other eight references keep
-// the contract on every double (refEveryDouble), which is where
-// posit32Uncached consults them: posit32 inputs carry up to 27
-// significand bits. Their posit32 tier 0 is checked against the ladder
-// on the posit edges and on 2^16 seeded random posits per function
-// (oracle_test.go), not swept exhaustively.
+// the contract on every double, which is where posit32Uncached
+// consults them: posit32 inputs carry up to 27 significand bits. For
+// sinpi/cospi it uses the high word of the double-double kernels
+// instead (posit32Ref). The posit32 tier 0 of all ten is checked
+// against the ladder on the posit edges and on 2^16 seeded random
+// posits per function (oracle_test.go), not swept exhaustively.
 package oracle
 
 import (
@@ -139,12 +140,18 @@ var ref64 = map[bigfp.Func]func(float64) float64{
 	bigfp.CosPi: cospiRef,
 }
 
-// refEveryDouble reports whether f's reference keeps its accuracy
-// contract on every double, not only on float32-origin inputs: all but
-// sinpi/cospi, whose exact argument reduction needs a 24-bit
-// significand.
-func refEveryDouble(f bigfp.Func) bool {
-	return f != bigfp.SinPi && f != bigfp.CosPi
+// posit32Ref returns f's posit32 tier-0 reference, which must keep its
+// accuracy contract on every double, or nil. sinpi/cospi take the high
+// word of the double-double kernels, whose exact reduction works on
+// any double; the other eight use their ref64 entry.
+func posit32Ref(f bigfp.Func) func(float64) float64 {
+	switch f {
+	case bigfp.SinPi:
+		return func(x float64) float64 { v, _ := ddEval(bigfp.SinPi, x); return v.Hi }
+	case bigfp.CosPi:
+		return func(x float64) float64 { v, _ := ddEval(bigfp.CosPi, x); return v.Hi }
+	}
+	return ref64[f]
 }
 
 // Ref64 returns the double-precision reference evaluator for f, or

@@ -4,9 +4,10 @@
 // as 86% of total time), so the first question any generation-time
 // trace must answer is "which precision did the ladder stop at". Every
 // uncached evaluation increments exactly one of the counters below:
-// the tier-0 double-reference guard, one of the ladder rungs
-// (96/160/256/400 bits), or the 400-bit center fallback. The atomics
-// cost nanoseconds against an evaluation that costs microseconds.
+// tier 0 (the double reference guard band, or for Float64 the
+// double-double evaluator), one of the ladder rungs (96/160/256/400
+// bits), or the 400-bit center fallback. The atomics cost nanoseconds
+// against an evaluation that costs microseconds.
 package oracle
 
 import (
@@ -17,7 +18,7 @@ import (
 )
 
 var (
-	tier0Decided atomic.Uint64                     // guard-band decided, no ladder run
+	tier0Decided atomic.Uint64                     // decided by tier 0, no ladder run
 	zivAccepts   [len(precisionsArr)]atomic.Uint64 // accepted at rung i
 	zivFallback  atomic.Uint64                     // 400-bit band still straddled; center accepted
 )
@@ -33,7 +34,7 @@ func noteZivFallback() { zivFallback.Add(1) }
 
 // ZivStats is a snapshot of the ladder outcome counters.
 type ZivStats struct {
-	Tier0    uint64    // decided by the float64 reference + guard band
+	Tier0    uint64    // decided by tier 0 (guard band or double-double)
 	ByPrec   [4]uint64 // accepted at 96/160/256/400 bits
 	Fallback uint64    // 400-bit interval straddled; center accepted
 }
@@ -116,7 +117,7 @@ func EnableTelemetry(reg *telemetry.Registry) {
 			return float64(h) / float64(h+m)
 		})
 	reg.CounterFunc("rlibm_oracle_tier0_decided_total",
-		"evaluations decided by the float64 reference + guard band",
+		"evaluations decided by tier 0 (double reference guard band or double-double evaluator)",
 		func() uint64 { return tier0Decided.Load() })
 	for i := range precisionsArr {
 		i := i
