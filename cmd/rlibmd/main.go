@@ -9,7 +9,7 @@
 //
 // The admin listener exports Prometheus text metrics (per-function
 // request/value/busy counts, latency histograms, coalescing stats,
-// oracle cache and Ziv-ladder counters) at /metrics and the standard
+// oracle tier-0 and Ziv-ladder counters) at /metrics and the standard
 // pprof endpoints at /debug/pprof/. The always-on flight recorder
 // keeps the last few thousand wide events in memory, serves them at
 // /debug/flight, and dumps them to -flight-dir as JSON when an anomaly

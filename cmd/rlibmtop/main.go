@@ -1,7 +1,8 @@
 // Command rlibmtop is a terminal dashboard for a running rlibmd: it
 // polls the admin listener's /metrics endpoint (Prometheus text
 // exposition) and renders live per-function throughput and latency
-// percentiles, coalescing efficiency, and oracle cache effectiveness.
+// percentiles, coalescing efficiency, and how the oracle decided its
+// queries (tier 0 vs the Ziv ladder).
 //
 //	rlibmtop -addr 127.0.0.1:7044            # live, redraws every 2s
 //	rlibmtop -addr 127.0.0.1:7044 -once      # one snapshot, no ANSI
@@ -378,14 +379,18 @@ func render(w io.Writer, url string, cur, prev *snap, dt float64) {
 			telemetry.HistQuantile(bw, 0.50), telemetry.HistQuantile(bw, 0.99))
 	}
 
-	// Oracle cache (cumulative ratio is the meaningful number).
-	hits, _ := cur.value("rlibm_oracle_cache_hits_total", nil)
-	misses, _ := cur.value("rlibm_oracle_cache_misses_total", nil)
-	if hits+misses > 0 {
-		fmt.Fprintf(w, "oracle cache: %.2f%% hit (%s hits, %s misses)\n",
-			100*hits/(hits+misses), fmtCount(hits), fmtCount(misses))
+	// Oracle: queries decided by tier 0 vs run on the Ziv ladder
+	// (cumulative; the ladder share is the meaningful number).
+	tier0, _ := cur.value("rlibm_oracle_tier0_decided_total", nil)
+	ladder, _ := cur.value("rlibm_oracle_ziv_fallback_total", nil)
+	for _, sm := range cur.by["rlibm_oracle_ziv_accepts_total"] {
+		ladder += sm.Value
+	}
+	if tier0+ladder > 0 {
+		fmt.Fprintf(w, "oracle: %s tier 0, %s ladder (%.2f%% ladder)\n",
+			fmtCount(tier0), fmtCount(ladder), 100*ladder/(tier0+ladder))
 	} else {
-		fmt.Fprintf(w, "oracle cache: idle\n")
+		fmt.Fprintf(w, "oracle: idle\n")
 	}
 
 	// Distributed tracing and the flight recorder: how many frames

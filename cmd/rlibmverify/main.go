@@ -70,7 +70,7 @@ func main() {
 	defer stop()
 
 	// A multi-hour full sweep is worth watching remotely: -metrics
-	// serves /metrics with per-shard progress and the oracle cache and
+	// serves /metrics with per-shard progress and the oracle tier-0 and
 	// Ziv-ladder counters the escalation path exercises.
 	var reg *telemetry.Registry
 	if *metrics != "" {

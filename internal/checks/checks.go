@@ -191,8 +191,6 @@ func CheckPosit32(lib, name string, ps []posit32.Posit) Result {
 // variant ("bfloat16", "float16" or "posit16"): every one of the 65536
 // bit patterns is compared against the oracle — the same
 // full-input-space guarantee the paper establishes for its libraries.
-// The oracle values are served from the shared cache, so checking
-// several libraries evaluates the Ziv loop only on the first.
 func CheckMini(variant, lib, name string) Result {
 	if variant == "posit16" {
 		return checkPosit16(lib, name)
@@ -272,9 +270,9 @@ func CheckMini(variant, lib, name string) Result {
 }
 
 // CheckFloat32Multi checks several libraries against one shared oracle
-// pass: the sample is precomputed into the oracle cache once, then
-// every per-library comparison runs on cache hits. This is what makes
-// the full Table 1 harness cost one Ziv evaluation per (func, input)
+// pass: each input's correctly rounded result is computed once and
+// compared against every library column. This is what makes the full
+// Table 1 harness cost one oracle evaluation per (func, input)
 // regardless of the number of library columns.
 func CheckFloat32Multi(libs []string, name string, xs []float32) []Result {
 	fs := make([]func(float32) float32, len(libs))
@@ -287,7 +285,6 @@ func CheckFloat32Multi(libs []string, name string, xs []float32) []Result {
 		}
 	}
 	of := OracleFunc[name]
-	oracle.PrecomputeFloat32(of, xs)
 	workers := runtime.GOMAXPROCS(0)
 	type acc struct {
 		ex []exAcc
@@ -351,7 +348,6 @@ func CheckPosit32Multi(libs []string, name string, ps []posit32.Posit) []Result 
 	}
 	of := OracleFunc[name]
 	tgt := interval.Posit32Target{}
-	oracle.PrecomputePosit32(of, ps)
 	workers := runtime.GOMAXPROCS(0)
 	type acc struct {
 		ex []exAcc

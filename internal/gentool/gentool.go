@@ -18,6 +18,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -111,19 +112,17 @@ type Stats struct {
 	ColdSolves       int
 	Pivots           int // exact-tableau pivot operations
 	// OracleQueries counts correctly-rounded target lookups issued by
-	// this function's generation and validation passes (cache hits
-	// included).
+	// this function's generation and validation passes.
 	OracleQueries int
 	// MaxZivPrec is the highest Ziv-ladder precision (bits) any oracle
 	// evaluation needed while this function generated; 0 means every
-	// evaluation was served by the cache or decided by tier 0 (the
-	// double reference guard band for the target, the double-double
-	// evaluator for the float64 reduced-function values).
-	// OracleTier0 and OracleZivRuns count the uncached evaluations
-	// decided by tier 0 and by the ladder. All three are exact when
-	// one function generates at a time (rlibmgen -jobs=1); with
-	// concurrent generation the process-wide ladder counters overlap
-	// and the values are upper bounds.
+	// evaluation was decided by tier 0 (the double reference guard band
+	// for the target, the double-double evaluator for the float64
+	// reduced-function values). OracleTier0 and OracleZivRuns count the
+	// evaluations decided by tier 0 and by the ladder. All three are
+	// exact when one function generates at a time (rlibmgen -jobs=1);
+	// with concurrent generation the process-wide ladder counters
+	// overlap and the values are upper bounds.
 	MaxZivPrec    uint
 	OracleTier0   uint64
 	OracleZivRuns uint64
@@ -223,15 +222,13 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 
 	gen := sampleOrdinals(tgt, fam, cfg.InputsPerFunc, cfg.EdgeWindow, 0)
 	gen = appendExtra(gen, fam, cfg.ExtraInputs)
-	cons := make([][]polygen.Constraint, nf)
 	oracleStart := time.Now()
 	osp := tc.Start("oracle.constraints")
-	cs0, z0 := oracle.Stats(), oracle.Ziv()
-	newCons, err := constraintsFor(fam, tgt, gen, cfg.Workers)
+	z0 := oracle.Ziv()
+	cons, err := constraintsFor(fam, tgt, gen, cfg.Workers)
 	if osp != nil {
-		cs1, z := oracle.Stats(), oracle.Ziv().Sub(z0)
+		z := oracle.Ziv().Sub(z0)
 		osp.Arg("inputs", len(gen)).
-			Arg("cache_hits", int64(cs1.Hits-cs0.Hits)).
 			Arg("tier0", int64(z.Tier0)).
 			Arg("ziv_runs", int64(z.Runs()-z.Tier0))
 		osp.End()
@@ -239,9 +236,6 @@ func GenerateFunc(name string, cfg Config) (*Result, error) {
 	oracleQueries += len(gen)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	for i := 0; i < nf; i++ {
-		cons[i] = append(cons[i], newCons[i]...)
 	}
 	oracleTime := time.Since(oracleStart)
 
@@ -414,22 +408,7 @@ func inDomains(fam rangered.Family, x float64) bool {
 // offsets the stride so generation and validation samples differ.
 func sampleOrdinals(t interval.Target, fam rangered.Family, n int, edge int64, phase int64) []float64 {
 	domains := fam.SampleDomains()
-	seen := make(map[int64]struct{}, n+int(edge)*4*len(domains))
-	var xs []float64
-	addOrd := func(o int64) {
-		if _, dup := seen[o]; dup {
-			return
-		}
-		seen[o] = struct{}{}
-		x := t.FromOrd(o)
-		if math.IsNaN(x) {
-			return
-		}
-		if _, sp := fam.Special(x); sp {
-			return
-		}
-		xs = append(xs, x)
-	}
+	ords := make([]int64, 0, n+int(edge)*4*len(domains))
 	perDomain := n / len(domains)
 	for _, d := range domains {
 		lo, hi := t.Ord(d[0]), t.Ord(d[1])
@@ -447,11 +426,10 @@ func sampleOrdinals(t interval.Target, fam rangered.Family, n int, edge int64, p
 		stride := span / count
 		off := (stride / 3) * phase // deterministic phase shift
 		for k := int64(0); k < count; k++ {
-			addOrd(lo + off%stride + k*stride)
+			ords = append(ords, lo+off%stride+k*stride)
 		}
 		for k := int64(0); k <= edge && k <= span; k++ {
-			addOrd(lo + k)
-			addOrd(hi - k)
+			ords = append(ords, lo+k, hi-k)
 		}
 		// Interior hard points: inputs near ±2^k produce the tightest
 		// rounding intervals for several families (most prominently the
@@ -468,13 +446,27 @@ func sampleOrdinals(t interval.Target, fam rangered.Family, n int, edge int64, p
 				for k := -edge; k <= edge; k++ {
 					o := po + k
 					if o >= lo && o <= hi {
-						addOrd(o)
+						ords = append(ords, o)
 					}
 				}
 			}
 		}
 	}
-	sort.Float64s(xs)
+	// FromOrd is monotone, so distinct sorted ordinals give distinct
+	// sorted inputs.
+	slices.Sort(ords)
+	ords = slices.Compact(ords)
+	xs := make([]float64, 0, len(ords))
+	for _, o := range ords {
+		x := t.FromOrd(o)
+		if math.IsNaN(x) {
+			continue
+		}
+		if _, sp := fam.Special(x); sp {
+			continue
+		}
+		xs = append(xs, x)
+	}
 	return xs
 }
 
@@ -482,10 +474,6 @@ func sampleOrdinals(t interval.Target, fam rangered.Family, n int, edge int64, p
 // every input (Algorithm 1 lines 3-7 plus Algorithm 2).
 func constraintsFor(fam rangered.Family, tgt interval.Target, xs []float64, workers int) ([][]polygen.Constraint, error) {
 	nf := len(fam.Funcs())
-	// Bulk-fill the oracle cache: each (func, input) runs the Ziv loop
-	// exactly once here, and both this pass and every later outer-round
-	// revisit of the same input are cache hits.
-	oracle.PrecomputeTarget(tgt, fam.Fn(), xs)
 	type item struct {
 		ok   bool
 		r    float64
@@ -549,7 +537,16 @@ func constraintsFor(fam rangered.Family, tgt interval.Target, xs []float64, work
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	n := 0
+	for _, it := range items {
+		if it.ok {
+			n++
+		}
+	}
 	out := make([][]polygen.Constraint, nf)
+	for i := range out {
+		out[i] = make([]polygen.Constraint, 0, n)
+	}
 	for _, it := range items {
 		if !it.ok {
 			continue
@@ -564,10 +561,6 @@ func constraintsFor(fam rangered.Family, tgt interval.Target, xs []float64, work
 // validate compares the generated implementation against the oracle on
 // xs, returning the mismatching inputs.
 func validate(res *Result, tgt interval.Target, xs []float64, workers int) ([]float64, error) {
-	// The counterexample search revisits the same validation sample
-	// every outer round: after the first round's bulk fill the oracle
-	// side of this loop is pure cache hits.
-	oracle.PrecomputeTarget(tgt, res.Fam.Fn(), xs)
 	bad := make([][]float64, workers)
 	var wg sync.WaitGroup
 	chunk := (len(xs) + workers - 1) / workers

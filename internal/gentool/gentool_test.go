@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"rlibm32/internal/oracle"
 	"rlibm32/internal/rangered"
 	"rlibm32/internal/telemetry"
 )
@@ -103,12 +102,10 @@ func TestExtraInputsFiltered(t *testing.T) {
 }
 
 // TestGenerateOracleCounters checks the oracle attribution of one
-// cold-cache generation: the oracle.constraints span splits the
-// uncached evaluations into tier0 and ziv_runs (ladder runs only, not
-// every cache miss), and Stats carries the function's totals.
+// generation: the oracle.constraints span splits the evaluations into
+// tier0 and ziv_runs (ladder runs only), and Stats carries the
+// function's totals.
 func TestGenerateOracleCounters(t *testing.T) {
-	oracle.ResetCache()
-	defer oracle.ResetCache()
 	tr := telemetry.NewTrace(0)
 	res, err := GenerateFunc("exp", Config{Variant: rangered.VPosit32, InputsPerFunc: 400, ValidatePerFunc: 400, Trace: tr})
 	if err != nil {

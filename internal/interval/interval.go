@@ -4,10 +4,12 @@
 // generated polynomial pipeline produces any value in [l, h], rounding
 // it to the target yields the correctly rounded result.
 //
-// It also defines Target, the abstraction over the two 32-bit targets
-// (IEEE float32 and posit32) used throughout the generator. Target
-// values are carried around as float64: both targets embed exactly
-// into double precision, which is the paper's higher-precision type H.
+// It also defines Target, the abstraction over the rounding targets
+// used throughout the generator: the two 32-bit targets (IEEE float32
+// and posit32) and the 16-bit ones (bfloat16, float16, posit16, in
+// mini.go). Target values are carried around as float64: every target
+// embeds exactly into double precision, which is the paper's
+// higher-precision type H.
 package interval
 
 import (
@@ -99,10 +101,11 @@ func RoundingPosit(p posit32.Posit) (Interval, bool) {
 	return Interval{lo, hi}, true
 }
 
-// Target abstracts a 32-bit rounding target T. Values of T are carried
-// as float64 (the embedding is exact for both supported targets).
+// Target abstracts a rounding target T. Values of T are carried as
+// float64 (the embedding is exact for every supported target).
 type Target interface {
-	// Name returns "float32" or "posit32".
+	// Name returns the target's name: "float32", "posit32",
+	// "bfloat16", "float16" or "posit16".
 	Name() string
 	// RoundBig rounds an arbitrary-precision real to T, returned as the
 	// exact double embedding. The bool is false for values with no

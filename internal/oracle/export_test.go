@@ -5,4 +5,8 @@ package oracle
 var (
 	Float64Tier0 = float64Tier0
 	Float64Ziv   = float64Ziv
+	Decide       = decide
+	Tier0Ref     = tier0Ref
+	ZivTarget    = zivTarget
+	DomainEdge   = domainEdge
 )

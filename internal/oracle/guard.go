@@ -1,6 +1,6 @@
 // Guard-band escalation: the cheap front half of the exhaustive
-// verifier's two-tier oracle, and tier 0 of the float32 and posit32
-// oracles.
+// verifier's two-tier oracle, and tier 0 of the oracle for every
+// interval.Target.
 //
 // A double-precision approximation of f(x) that is accurate to within a
 // known number of float64 ulps determines the correctly rounded float32
@@ -18,7 +18,7 @@ import (
 	"math"
 
 	"rlibm32/internal/bigfp"
-	"rlibm32/posit32"
+	"rlibm32/internal/interval"
 )
 
 // DefaultGuardUlps is the guard-band half-width used by the exhaustive
@@ -60,34 +60,42 @@ func RoundDecided32(ref float64, guardUlps float64) (float32, bool) {
 	return float32(ref), false
 }
 
-// RoundDecidedPosit32 is RoundDecided32 for posit32: it rounds ref to
-// posit32 and reports whether every value in the guard band rounds to
-// the same posit, in which case that posit IS the correct rounding of
-// the true value (given the accuracy contract). Posit rounding is
-// monotone, so the two ends of the band decide.
+// decide is tier 0 for any target: it rounds ref — a double-precision
+// approximation of a true real value, accurate to within
+// DefaultGuardUlps float64 ulps — to t, and reports whether both ends
+// of the guard band round to one value under t.Round/SameResult. Then
+// that value IS the correct rounding of the true value (given the
+// accuracy contract), because rounding is monotone.
 //
-// Unlike float32, a zero or non-finite reference is never decided:
-// posits saturate instead of underflowing or overflowing, so a double
-// that underflowed to zero stands for ±MinPos or exactly zero, and one
-// that overflowed stands for ±MaxPos; the ladder settles those. NaN
-// references are not decided either.
-func RoundDecidedPosit32(ref float64, guardUlps float64) (posit32.Posit, bool) {
-	if ref == 0 || math.IsInf(ref, 0) || math.IsNaN(ref) {
-		return posit32.NaR, false
+// The band also settles zero and infinite references by range. A zero
+// reference stands for a magnitude ≤ DefaultGuardUlps·2^-1074 and an
+// infinite one for a magnitude ≥ MaxFloat64: formats that underflow
+// and overflow (float32, bfloat16, float16) round both band ends to ±0
+// or ±Inf and decide, exactly as RoundDecided32 does; posits saturate,
+// so the ends round to ±MinPos or to MaxPos and NaR, and the ladder
+// settles those. NaN references are never decided.
+func decide(t interval.Target, ref float64) (float64, bool) {
+	var lo, hi float64
+	switch {
+	case math.IsNaN(ref):
+		return ref, false
+	case math.IsInf(ref, 0):
+		lo, hi = math.Copysign(math.MaxFloat64, ref), ref
+	default:
+		eps := DefaultGuardUlps * (0x1p-52*math.Abs(ref) + 0x1p-1074)
+		lo, hi = ref-eps, ref+eps
 	}
-	eps := guardUlps * (0x1p-52*math.Abs(ref) + 0x1p-1074)
-	a := posit32.FromFloat64(ref - eps)
-	if a != posit32.FromFloat64(ref+eps) {
-		return posit32.FromFloat64(ref), false
+	if !t.SameResult(t.Round(lo), t.Round(hi)) {
+		return ref, false
 	}
-	return a, true
+	return t.Round(ref), true
 }
 
 // Float32Guarded returns the correctly rounded float32 of f(x) using
 // the two-tier scheme: if the guard band around ref (a double
 // approximation of f(x) accurate to guardUlps float64 ulps) decides the
 // rounding, that value is returned without touching the Ziv ladder;
-// otherwise the memoized arbitrary-precision oracle is consulted.
+// otherwise the full oracle (Float32) is consulted.
 // escalated reports which tier answered.
 func Float32Guarded(f bigfp.Func, x, ref float64, guardUlps float64) (v float32, escalated bool) {
 	if v, ok := RoundDecided32(ref, guardUlps); ok {

@@ -1,6 +1,7 @@
-// Package oracle produces correctly rounded results RN_T(f(x)) for the
-// 32-bit targets and for float64, replacing the paper's use of the MPFR
-// library ("with up to 400 precision bits").
+// Package oracle produces correctly rounded results RN_T(f(x)) for
+// every interval.Target (the 32- and 16-bit formats) and for float64,
+// replacing the paper's use of the MPFR library ("with up to 400
+// precision bits").
 //
 // It drives internal/bigfp through a Ziv-style loop: evaluate f(x) at a
 // working precision, widen the value by bigfp's guaranteed error bound,
@@ -10,18 +11,16 @@
 // rounding-distance results (Lefèvre-Muller) for double precision,
 // which dominate the 32-bit targets used here.
 //
-// Every entry point first tries a tier 0 that decides almost every
-// rounding without big.Float: a double reference plus guard band for
-// the 32-bit targets (ref.go, guard.go) and a double-double evaluator
-// for float64 (ddeval.go).
-//
-// The 32-bit and generic-target entry points are memoized in a
-// concurrent sharded cache keyed by (function, input bits) — see
-// cache.go — so a harness that checks N libraries against the same
-// input sample pays for the Ziv loop once per (function, input) rather
-// than once per (function, input, library). PrecomputeFloat32 and
-// friends bulk-fill the cache in parallel. Float64 is not memoized:
-// with its tier 0 deciding, a cache made generation no faster.
+// Every query runs the same three steps: the domain edge (NaN,
+// infinities, arguments outside the function's domain), a tier 0 that
+// decides almost every rounding without big.Float, then the ladder.
+// For the 32- and 16-bit targets tier 0 is a double reference plus a
+// guard band (ref.go, guard.go): decide accepts the reference's
+// rounding when both ends of the band round to one target value. For
+// float64 it is a double-double evaluator (ddeval.go). Nothing is
+// memoized: with tier 0 deciding in tens to hundreds of nanoseconds, a
+// cache in front of it costs more than it saves, and callers that need
+// an answer twice hold on to it themselves.
 package oracle
 
 import (
@@ -112,63 +111,90 @@ func (s *zivScratch) band(w *big.Float, prec uint) (lo, hi *big.Float) {
 	return lo, hi
 }
 
-// errBand widens w by bigfp's relative error bound at precision p,
-// returning lo <= f(x) <= hi (allocating variant, kept for the generic
-// Target fallback).
-func errBand(w *big.Float, prec uint) (lo, hi *big.Float) {
-	if w.Sign() == 0 {
-		return w, w
-	}
-	e := new(big.Float).SetPrec(w.Prec()).SetMantExp(
-		new(big.Float).SetPrec(w.Prec()).Abs(w), -int(prec)+bigfp.ErrLog2)
-	lo = new(big.Float).SetPrec(w.Prec()+8).Sub(w, e)
-	hi = new(big.Float).SetPrec(w.Prec()+8).Add(w, e)
-	return lo, hi
-}
-
 // Float32 returns the correctly rounded float32 value of f(x).
 // Out-of-domain and infinite inputs follow the IEEE conventions
-// (log of a negative is NaN, exp(-Inf) is 0, ...). Results are
-// memoized; see cache.go.
+// (log of a negative is NaN, exp(-Inf) is 0, ...).
 func Float32(f bigfp.Func, x float64) float32 {
-	return cachedFloat32(f, x)
+	v, _ := Target(interval.Float32Target{}, f, x)
+	return float32(v)
 }
 
-// float32Uncached runs the Ziv loop directly (cache misses land here).
-func float32Uncached(f bigfp.Func, x float64) float32 {
-	if y, ok := domainEdge(f, x); ok {
-		return float32(y)
+// Posit32 returns the correctly rounded posit32 value of f(x): NaR
+// where the result is not a real (NaN, or an infinite domain-edge
+// result, since posits have no infinities).
+func Posit32(f bigfp.Func, x float64) posit32.Posit {
+	v, ok := Target(interval.Posit32Target{}, f, x)
+	if !ok {
+		return posit32.NaR
 	}
-	// Tier 0: a double-precision reference plus guard band decides the
-	// float32 rounding for all but a ~2^-19 sliver of inputs at the cost
-	// of one math-package call (see ref.go and guard.go). Restricted to
-	// float32-origin inputs — the domain where every reference keeps
-	// its accuracy contract, which the exhaustive sweeps validated — and
-	// undecided bands fall through to the ladder.
-	if ref, ok := ref64[f]; ok && float64(float32(x)) == x {
-		if v, decided := RoundDecided32(ref(x), DefaultGuardUlps); decided {
+	return posit32.FromFloat64(v)
+}
+
+// Target returns RN_T(f(x)) as the exact double embedding for the given
+// target, plus ok=false when the result is not a T value (NaN, float32
+// NaN, posit NaR). Every target runs the same sequence: the domain
+// edge, tier 0 (a double reference and decide), then the Ziv ladder.
+func Target(t interval.Target, f bigfp.Func, x float64) (float64, bool) {
+	if y, ok := domainEdge(f, x); ok {
+		v := t.Round(y) // posit targets round ±Inf to NaR
+		return v, !math.IsNaN(v)
+	}
+	if ref := tier0Ref(t, f, x); ref != nil {
+		if v, ok := decide(t, ref(x)); ok {
 			noteTier0()
-			return v
+			return v, true
 		}
 	}
+	return zivTarget(t, f, x)
+}
+
+// tier0Ref returns the double reference whose accuracy contract holds
+// for x, or nil. posit32 inputs carry up to 27 significand bits, so
+// posit32 takes posit32Ref, which keeps its contract on every double.
+// Every other target takes ref64 on float32-origin inputs: float32,
+// and the 16-bit targets, whose values (bfloat16, float16, and posit16
+// with es=2, range 2^±56 and at most 11 fraction bits) are all exactly
+// float32 values.
+func tier0Ref(t interval.Target, f bigfp.Func, x float64) func(float64) float64 {
+	if _, ok := t.(interval.Posit32Target); ok {
+		return posit32Ref(f)
+	}
+	if float64(float32(x)) != x {
+		return nil
+	}
+	return ref64[f]
+}
+
+// zivTarget runs the Ziv ladder for the T rounding of f(x).
+func zivTarget(t interval.Target, f bigfp.Func, x float64) (float64, bool) {
 	s := zivPool.Get().(*zivScratch)
 	defer zivPool.Put(s)
-	var last float32
+	var w *big.Float
+	var last float64
+	var lastOK bool
 	for i, p := range precisions {
-		w := bigfp.EvalTo(&s.w, f, x, p)
+		w = bigfp.EvalTo(&s.w, f, x, p)
 		lo, hi := s.band(w, p)
-		a, _ := lo.Float32()
-		b, _ := hi.Float32()
-		last = a
-		if a == b || (a != a && b != b) {
+		a, aok := t.RoundBig(lo)
+		b, bok := t.RoundBig(hi)
+		if aok && bok && t.SameResult(a, b) {
 			noteZiv(i)
-			return a
+			return a, true
 		}
+		last, lastOK = a, aok
 	}
-	// The 400-bit band still straddles a rounding boundary: accept the
-	// center (matching the paper's oracle contract).
+	// The 400-bit band still straddles a rounding boundary, which means
+	// f(x) lies exactly on one: posit32 exp2(-118) = 2^-118 sits halfway
+	// between MinPos and the next posit. The 32-bit targets accept the
+	// lower end's rounding and the others the center's: the committed
+	// tables were generated that way (posit32 and posit16 exp2 place
+	// their underflow cutoffs by it).
 	noteZivFallback()
-	return last
+	switch t.(type) {
+	case interval.Float32Target, interval.Posit32Target:
+		return last, lastOK
+	}
+	return t.RoundBig(w)
 }
 
 // Float64 returns the correctly rounded float64 value of f(x). It is
@@ -205,95 +231,4 @@ func float64Ziv(f bigfp.Func, x float64) float64 {
 	}
 	noteZivFallback()
 	return last
-}
-
-// Posit32 returns the correctly rounded posit32 value of f(x).
-// Results are memoized.
-func Posit32(f bigfp.Func, x float64) posit32.Posit {
-	return cachedPosit32(f, x)
-}
-
-func posit32Uncached(f bigfp.Func, x float64) posit32.Posit {
-	if y, ok := domainEdge(f, x); ok {
-		return posit32.FromFloat64(y) // NaN and ±Inf map to NaR
-	}
-	// Tier 0 as in float32Uncached, with references that keep their
-	// accuracy contract on every double (posit32Ref): a posit32 input
-	// is a double with up to 27 significand bits, not a float32. A zero
-	// or non-finite reference, or an undecided band, falls through to
-	// the ladder.
-	if ref := posit32Ref(f); ref != nil {
-		if v, decided := RoundDecidedPosit32(ref(x), DefaultGuardUlps); decided {
-			noteTier0()
-			return v
-		}
-	}
-	return posit32Ziv(f, x)
-}
-
-// posit32Ziv runs the Ziv ladder for the posit32 rounding of f(x).
-func posit32Ziv(f bigfp.Func, x float64) posit32.Posit {
-	s := zivPool.Get().(*zivScratch)
-	defer zivPool.Put(s)
-	var last posit32.Posit
-	for i, p := range precisions {
-		w := bigfp.EvalTo(&s.w, f, x, p)
-		lo, hi := s.band(w, p)
-		a := posit32.RoundBig(lo)
-		b := posit32.RoundBig(hi)
-		last = a
-		if a == b {
-			noteZiv(i)
-			return a
-		}
-	}
-	noteZivFallback()
-	return last
-}
-
-// Target returns RN_T(f(x)) as the exact double embedding for the given
-// target, plus ok=false when the result is not a real (never happens
-// for the supported functions on in-domain inputs). The two 32-bit
-// targets dispatch to the memoized Float32/Posit32 oracles; other
-// targets are memoized per target name.
-func Target(t interval.Target, f bigfp.Func, x float64) (float64, bool) {
-	switch t.(type) {
-	case interval.Float32Target:
-		v := Float32(f, x)
-		return float64(v), !math.IsNaN(float64(v))
-	case interval.Posit32Target:
-		p := Posit32(f, x)
-		if p.IsNaR() {
-			return math.NaN(), false
-		}
-		return p.Float64(), true
-	}
-	return cachedTarget(t, f, x)
-}
-
-// targetUncached is the generic fallback through RoundBig (exercised by
-// the 16-bit targets and custom targets).
-func targetUncached(t interval.Target, f bigfp.Func, x float64) (float64, bool) {
-	if y, ok := domainEdge(f, x); ok {
-		switch {
-		case math.IsNaN(y):
-			return math.NaN(), false
-		case math.IsInf(y, 0):
-			return t.RoundBig(new(big.Float).SetInf(y < 0))
-		}
-		return t.Round(y), true
-	}
-	for i, p := range precisions {
-		w := bigfp.Eval(f, x, p)
-		lo, hi := errBand(w, p)
-		a, aok := t.RoundBig(lo)
-		b, bok := t.RoundBig(hi)
-		if aok && bok && t.SameResult(a, b) {
-			noteZiv(i)
-			return a, true
-		}
-	}
-	noteZivFallback()
-	w := bigfp.Eval(f, x, 400)
-	return t.RoundBig(w)
 }

@@ -3,12 +3,188 @@ package oracle
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"rlibm32/internal/bigfp"
 	"rlibm32/internal/interval"
 	"rlibm32/posit32"
 )
+
+// tableFuncs are the ten functions of the Table 1/2 reproductions.
+var tableFuncs = []bigfp.Func{
+	bigfp.Log, bigfp.Log2, bigfp.Log10,
+	bigfp.Exp, bigfp.Exp2, bigfp.Exp10,
+	bigfp.Sinh, bigfp.Cosh, bigfp.SinPi, bigfp.CosPi,
+}
+
+func ordf32(f float32) int32 {
+	b := int32(math.Float32bits(f))
+	if b < 0 {
+		b = int32(-0x80000000) - b
+	}
+	return b
+}
+
+func fromOrdf32(i int32) float32 {
+	if i < 0 {
+		i = int32(-0x80000000) - i
+	}
+	return math.Float32frombits(uint32(i))
+}
+
+// boundarySample is the harness's hard-input lattice: every exponent's
+// power-of-two neighbourhood (±8 ulps), the window around ±0, and the
+// NaN/Inf edges.
+func boundarySample() []float64 {
+	var xs []float64
+	seen := make(map[int32]struct{})
+	add := func(o int32) {
+		if _, dup := seen[o]; dup {
+			return
+		}
+		seen[o] = struct{}{}
+		xs = append(xs, float64(fromOrdf32(o)))
+	}
+	for e := -149; e <= 127; e++ {
+		for _, s := range [2]float32{1, -1} {
+			b := ordf32(s * float32(math.Ldexp(1, e)))
+			for d := int32(-8); d <= 8; d++ {
+				add(b + d)
+			}
+		}
+	}
+	for d := int32(-16); d <= 16; d++ {
+		add(d)
+	}
+	// Representable edges and non-finite inputs.
+	xs = append(xs,
+		float64(math.MaxFloat32), -float64(math.MaxFloat32),
+		math.Inf(1), math.Inf(-1), math.NaN())
+	return xs
+}
+
+// float32Ladder is the float32 oracle without tier 0: the domain edge,
+// then the Ziv ladder.
+func float32Ladder(f bigfp.Func, x float64) float32 {
+	if y, ok := domainEdge(f, x); ok {
+		return float32(y)
+	}
+	v, _ := zivTarget(interval.Float32Target{}, f, x)
+	return float32(v)
+}
+
+// TestFloat32MatchesLadder runs the boundary-window sample through
+// Float32 (tier 0, then the ladder) and through the ladder alone for
+// all ten table functions and demands bit-identical answers.
+func TestFloat32MatchesLadder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle-heavy")
+	}
+	xs := boundarySample()
+	for _, f := range tableFuncs {
+		for _, x := range xs {
+			got, want := Float32(f, x), float32Ladder(f, x)
+			if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+				t.Fatalf("%v(%v): oracle %v, ladder %v", f, x, got, want)
+			}
+		}
+	}
+}
+
+// TestPosit32AndFloat64MatchLadder checks Posit32 and Float64 against
+// their ladders alone on a subsample of the boundary windows.
+func TestPosit32AndFloat64MatchLadder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("oracle-heavy")
+	}
+	xs := boundarySample()
+	for _, f := range []bigfp.Func{bigfp.Log, bigfp.Exp, bigfp.Sinh} {
+		for i, x := range xs {
+			if i%16 != 0 {
+				continue
+			}
+			if _, edge := domainEdge(f, x); edge {
+				continue
+			}
+			pv, _ := zivTarget(interval.Posit32Target{}, f, x)
+			if got, want := Posit32(f, x), posit32.FromFloat64(pv); got != want {
+				t.Fatalf("posit %v(%v): %#x, ladder %#x", f, x, got, want)
+			}
+			if got, want := Float64(f, x), float64Ziv(f, x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("double %v(%v): %v, ladder %v", f, x, got, want)
+			}
+		}
+	}
+}
+
+// TestTargetGenericEdges checks a 16-bit target on ordinary inputs and
+// on the domain edges: zero, an infinity (rounded to the format's
+// infinity) and NaN (no result).
+func TestTargetGenericEdges(t *testing.T) {
+	tgt := interval.BFloat16Target()
+	for _, x := range []float64{0.5, 1, 2, 100, -3, 0} {
+		wantV, wantOK := zivTarget(tgt, bigfp.Exp, x)
+		if gotV, gotOK := Target(tgt, bigfp.Exp, x); gotOK != wantOK || math.Float64bits(gotV) != math.Float64bits(wantV) {
+			t.Errorf("exp(%v): (%v,%v), ladder (%v,%v)", x, gotV, gotOK, wantV, wantOK)
+		}
+	}
+	if v, ok := Target(tgt, bigfp.Exp, math.Inf(1)); !ok || !math.IsInf(v, 1) {
+		t.Errorf("exp(+Inf) = (%v,%v), want (+Inf,true)", v, ok)
+	}
+	if v, ok := Target(tgt, bigfp.Exp, math.Inf(-1)); !ok || math.Float64bits(v) != 0 {
+		t.Errorf("exp(-Inf) = (%v,%v), want (0,true)", v, ok)
+	}
+	if _, ok := Target(tgt, bigfp.Exp, math.NaN()); ok {
+		t.Error("exp(NaN) reported a result")
+	}
+	if _, ok := Target(interval.Posit16Target(), bigfp.Exp, math.Inf(1)); ok {
+		t.Error("posit16 exp(+Inf) reported a result, want NaR")
+	}
+}
+
+// TestLadderFallbackOnTies pins what the ladder returns when f(x) lies
+// exactly on a rounding boundary, so no precision separates the band
+// ends: exp2(-118) = 2^-118 is halfway between posit32 MinPos = 2^-120
+// and 2^-116, and exp2(-54) halfway between posit16 MinPos = 2^-56 and
+// 2^-52. posit32 takes the lower end's rounding, posit16 the center's
+// (ties to the even pattern); the committed exp2 underflow cutoffs
+// depend on both.
+func TestLadderFallbackOnTies(t *testing.T) {
+	if got := Posit32(bigfp.Exp2, -118); got != posit32.MinPos {
+		t.Errorf("posit32 exp2(-118) = %#08x, want MinPos", got.Bits())
+	}
+	if got, _ := Target(interval.Posit16Target(), bigfp.Exp2, -54); got != 0x1p-52 {
+		t.Errorf("posit16 exp2(-54) = %v, want 2^-52", got)
+	}
+}
+
+// TestConcurrentQueries runs every entry point concurrently on
+// overlapping inputs, which share the pooled ladder scratch (run under
+// -race in CI).
+func TestConcurrentQueries(t *testing.T) {
+	tgt := interval.Float16Target()
+	var wg sync.WaitGroup
+	const workers = 8
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				x := 0.5 + float64((i+w)%64)*0.03125
+				f := tableFuncs[(i+w)%len(tableFuncs)]
+				if got, want := Float32(f, x), float32Ladder(f, x); got != want {
+					t.Errorf("concurrent %v(%v): %v != %v", f, x, got, want)
+					return
+				}
+				Float64(f, x)
+				Posit32(f, x)
+				Target(tgt, f, x)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
 
 func TestFloat32AgainstStdlib(t *testing.T) {
 	// Go's math package is faithfully rounded: the correctly rounded
@@ -139,9 +315,20 @@ func TestTargetDispatch(t *testing.T) {
 	}
 }
 
-func BenchmarkOracleFloat32Exp(b *testing.B) {
+// BenchmarkOracleFloat32 measures one query on a fresh input per
+// iteration (tier 0 decides almost all of them).
+func BenchmarkOracleFloat32(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Float32(bigfp.Exp, 1.5+float64(i%100)*1e-4)
+		Float32(bigfp.Exp, 0.5+float64(i)*1e-9)
+	}
+}
+
+// BenchmarkOracleFloat32Ladder measures the Ziv ladder alone.
+func BenchmarkOracleFloat32Ladder(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		zivTarget(interval.Float32Target{}, bigfp.Exp, 0.5+float64(i)*1e-9)
 	}
 }
 
@@ -178,6 +365,7 @@ func positEdgeInputs() []posit32.Posit {
 func checkPositTier0(t *testing.T, f bigfp.Func, ps []posit32.Posit) (decided int) {
 	t.Helper()
 	ref := posit32Ref(f)
+	tgt := interval.Posit32Target{}
 	for _, p := range ps {
 		if p.IsNaR() {
 			continue
@@ -186,14 +374,13 @@ func checkPositTier0(t *testing.T, f bigfp.Func, ps []posit32.Posit) (decided in
 		if _, edge := domainEdge(f, x); edge {
 			continue
 		}
-		v, ok := RoundDecidedPosit32(ref(x), DefaultGuardUlps)
+		v, ok := decide(tgt, ref(x))
 		if !ok {
 			continue
 		}
 		decided++
-		if want := posit32Ziv(f, x); v != want {
-			t.Errorf("%v(%#08x = %v): tier 0 decided %#08x, ladder %#08x",
-				f, p.Bits(), x, v.Bits(), want.Bits())
+		if want, _ := zivTarget(tgt, f, x); math.Float64bits(v) != math.Float64bits(want) {
+			t.Errorf("%v(%#08x = %v): tier 0 decided %v, ladder %v", f, p.Bits(), x, v, want)
 		}
 	}
 	return decided
@@ -225,8 +412,8 @@ func TestPosit32Tier0MatchesLadder(t *testing.T) {
 // about the result), including sinpi/cospi at their exact zeros.
 func TestPosit32Tier0Declines(t *testing.T) {
 	for _, ref := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()} {
-		if _, ok := RoundDecidedPosit32(ref, DefaultGuardUlps); ok {
-			t.Errorf("RoundDecidedPosit32(%v) decided", ref)
+		if _, ok := decide(interval.Posit32Target{}, ref); ok {
+			t.Errorf("decide(posit32, %v) decided", ref)
 		}
 	}
 	ResetCache()

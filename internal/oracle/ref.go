@@ -2,8 +2,9 @@
 // ladder.
 //
 // Each reference computes f(x) in float64 with a small known ulp error
-// so that RoundDecided32 and RoundDecidedPosit32 can certify the
-// rounding for almost every input without spinning up big.Float at all.
+// so that decide (and RoundDecided32, its typed float32 twin) can
+// certify the rounding for almost every input without spinning up
+// big.Float at all.
 // Six of the ten functions map straight onto Go's math package
 // (documented/observed accuracy of a couple of ulps). The remaining four
 // need care:
@@ -26,18 +27,20 @@
 //     ulps relative, everywhere.
 //
 // The accuracy contract holds for float32-origin inputs (the reduction
-// in sinpi/cospi relies on the 24-bit significand), which is exactly
-// where float32Uncached consults them. The exhaustive float32 sweeps
-// (internal/exhaust, all 2^32 inputs per function) validate the
-// combination of these references with RoundDecided32 against the
-// generated tables, so the tier-0 fast path rests on swept evidence,
-// not just the analytic ulp argument. The other eight references keep
-// the contract on every double, which is where posit32Uncached
-// consults them: posit32 inputs carry up to 27 significand bits. For
-// sinpi/cospi it uses the high word of the double-double kernels
-// instead (posit32Ref). The posit32 tier 0 of all ten is checked
-// against the ladder on the posit edges and on 2^16 seeded random
-// posits per function (oracle_test.go), not swept exhaustively.
+// in sinpi/cospi relies on the 24-bit significand). Target consults
+// them there for float32 and for the 16-bit targets, whose values are
+// all float32 values. The exhaustive float32 sweeps (internal/exhaust,
+// all 2^32 inputs per function) validate the combination of these
+// references with RoundDecided32 against the generated tables, so the
+// tier-0 fast path rests on swept evidence, not just the analytic ulp
+// argument; every 16-bit input is checked against the ladder
+// (tier0_test.go). The other eight references keep the contract on
+// every double, which is where Target consults them for posit32:
+// posit32 inputs carry up to 27 significand bits. For sinpi/cospi it
+// uses the high word of the double-double kernels instead
+// (posit32Ref). The posit32 tier 0 of all ten is checked against the
+// ladder on the posit edges and on 2^16 seeded random posits per
+// function (oracle_test.go), not swept exhaustively.
 package oracle
 
 import (
@@ -78,16 +81,20 @@ func reducePi2(x float64) (d float64, odd bool) {
 
 // sinpiRef computes sin(πx) for float32-origin x to a few double ulps
 // of relative accuracy, including arbitrarily close to the zeros at the
-// integers.
+// integers, where it returns +0.
 func sinpiRef(x float64) float64 {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
 		return math.NaN()
 	}
 	if ax := math.Abs(x); ax >= 1<<24 {
-		// Every float32 with |x| ≥ 2^24 is an even integer: sin(πx) = ±0.
-		return x * 0
+		// Every float32 with |x| ≥ 2^24 is an even integer: sin(πx) = 0.
+		return 0
 	}
 	d, odd := reducePi2(x)
+	if d == 0 {
+		// x is an integer. The exact zero is +0, as the ladder's is.
+		return 0
+	}
 	s := math.Sin(math.Pi * d) // |πd| ≤ π/2; relative error a few ulps
 	if odd {
 		s = -s
@@ -113,6 +120,10 @@ func cospiRef(x float64) float64 {
 		c = math.Cos(math.Pi * d)
 	} else {
 		c = math.Sin(math.Pi * (0.5 - ad))
+	}
+	if c == 0 {
+		// x is a half-integer. The exact zero is +0, as the ladder's is.
+		return 0
 	}
 	if odd {
 		c = -c

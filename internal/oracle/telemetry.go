@@ -3,11 +3,10 @@
 // The oracle is the generator's dominant cost (the paper reports MPFR
 // as 86% of total time), so the first question any generation-time
 // trace must answer is "which precision did the ladder stop at". Every
-// uncached evaluation increments exactly one of the counters below:
-// tier 0 (the double reference guard band, or for Float64 the
-// double-double evaluator), one of the ladder rungs (96/160/256/400
-// bits), or the 400-bit center fallback. The atomics cost nanoseconds
-// against an evaluation that costs microseconds.
+// evaluation past the domain edge increments exactly one of the
+// counters below: tier 0 (the double reference guard band, or for
+// Float64 the double-double evaluator), one of the ladder rungs
+// (96/160/256/400 bits), or the 400-bit fallback.
 package oracle
 
 import (
@@ -20,7 +19,7 @@ import (
 var (
 	tier0Decided atomic.Uint64                     // decided by tier 0, no ladder run
 	zivAccepts   [len(precisionsArr)]atomic.Uint64 // accepted at rung i
-	zivFallback  atomic.Uint64                     // 400-bit band still straddled; center accepted
+	zivFallback  atomic.Uint64                     // 400-bit band still straddled a boundary
 )
 
 // precisionsArr mirrors the precisions ladder with a fixed size so the
@@ -36,10 +35,11 @@ func noteZivFallback() { zivFallback.Add(1) }
 type ZivStats struct {
 	Tier0    uint64    // decided by tier 0 (guard band or double-double)
 	ByPrec   [4]uint64 // accepted at 96/160/256/400 bits
-	Fallback uint64    // 400-bit interval straddled; center accepted
+	Fallback uint64    // 400-bit band still straddled (f(x) exactly on a boundary)
 }
 
-// Runs returns the total number of uncached ladder entries.
+// Runs returns the number of evaluations past the domain edge: tier 0
+// decisions plus ladder runs.
 func (z ZivStats) Runs() uint64 {
 	n := z.Tier0 + z.Fallback
 	for _, v := range z.ByPrec {
@@ -85,9 +85,21 @@ func Ziv() ZivStats {
 	return z
 }
 
-// resetZiv zeroes the ladder counters (tests; ResetCache calls it so
-// "reset the oracle" keeps meaning one thing).
-func resetZiv() {
+// CacheStats is the query count in the shape callers of the former
+// memo cache read: Hits is always 0 and Misses counts every
+// evaluation, Ziv().Runs().
+type CacheStats struct {
+	Hits, Misses uint64
+}
+
+// Stats returns the query count derived from the Ziv counters.
+func Stats() CacheStats {
+	return CacheStats{Misses: Ziv().Runs()}
+}
+
+// ResetCache zeroes the oracle's counters. There is no cache left to
+// drop; the name is kept for the callers that reset before measuring.
+func ResetCache() {
 	tier0Decided.Store(0)
 	for i := range zivAccepts {
 		zivAccepts[i].Store(0)
@@ -95,7 +107,7 @@ func resetZiv() {
 	zivFallback.Store(0)
 }
 
-// EnableTelemetry exports the oracle's cache and Ziv-ladder counters
+// EnableTelemetry exports the oracle's tier-0 and Ziv-ladder counters
 // on reg (scrape-time reads of the existing atomics — the oracle hot
 // path is untouched). Safe to call with nil and safe to call more than
 // once per registry.
@@ -103,19 +115,6 @@ func EnableTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.CounterFunc("rlibm_oracle_cache_hits_total",
-		"oracle memoization cache hits", func() uint64 { return cacheHits.Load() })
-	reg.CounterFunc("rlibm_oracle_cache_misses_total",
-		"oracle memoization cache misses (actual Ziv ladder runs)",
-		func() uint64 { return cacheMisses.Load() })
-	reg.GaugeFunc("rlibm_oracle_cache_hit_ratio",
-		"hits / (hits + misses), 0 when no lookups yet", func() float64 {
-			h, m := cacheHits.Load(), cacheMisses.Load()
-			if h+m == 0 {
-				return 0
-			}
-			return float64(h) / float64(h+m)
-		})
 	reg.CounterFunc("rlibm_oracle_tier0_decided_total",
 		"evaluations decided by tier 0 (double reference guard band or double-double evaluator)",
 		func() uint64 { return tier0Decided.Load() })

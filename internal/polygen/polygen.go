@@ -11,11 +11,13 @@
 package polygen
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -184,12 +186,7 @@ var ErrInfeasible = errors.New("polygen: constraints infeasible at maximum split
 // error if some reduced input has an empty combined interval, which
 // means the range reduction must be redesigned.
 func MergeByInput(cons []Constraint) ([]Constraint, error) {
-	sort.Slice(cons, func(i, j int) bool {
-		if cons[i].R != cons[j].R {
-			return cons[i].R < cons[j].R
-		}
-		return false
-	})
+	slices.SortFunc(cons, func(a, b Constraint) int { return cmp.Compare(a.R, b.R) })
 	out := cons[:0]
 	for _, c := range cons {
 		if len(out) > 0 && out[len(out)-1].R == c.R {

@@ -5,7 +5,7 @@
 // percentiles (the old histogram reported the bucket upper bound —
 // up to 2x high; the midpoint is within −25%/+50%, documented on
 // telemetry.Histogram.Quantile), and one registry that other layers
-// (oracle cache, runtime kernels) can export through.
+// (oracle counters, runtime kernels) can export through.
 package server
 
 import (
@@ -116,7 +116,7 @@ func newMetrics(keys []batchKey) *Metrics {
 }
 
 // Registry exposes the underlying telemetry registry so the daemon can
-// attach more exporters (oracle cache stats, runtime kernel counters)
+// attach more exporters (oracle counters, runtime kernel counters)
 // to the same /metrics page.
 func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
 

@@ -354,7 +354,7 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
 
 // CounterFunc registers a counter whose value is read from fn at
 // scrape time — the bridge for subsystems that already keep their own
-// atomics (e.g. the oracle cache). fn must be safe for concurrent
+// atomics (e.g. the oracle's Ziv-ladder counters). fn must be safe for concurrent
 // calls. No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
 	r.register(name, help, kindCounterFunc, labels, func() any { return fn })
