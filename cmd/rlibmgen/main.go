@@ -332,10 +332,3 @@ func joinInts(v []int) string {
 	}
 	return strings.Join(parts, "/")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

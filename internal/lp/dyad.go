@@ -1,18 +1,22 @@
-// Dyadic fast-path arithmetic.
+// Dyadic arithmetic.
 //
-// Every constraint the generation pipeline issues enters the LP through
-// RatFromFloat, so its numerator/denominator pair is dyadic: a value of
-// the form mant·2^exp with integer mant. Sums, differences and products
-// of dyadics are dyadic, which means the whole constraint matrix of the
-// fitting LP can be represented as scaled big.Ints sharing per-row
-// power-of-two exponents — no big.Rat normalization, hence none of the
-// hidden GCDs that dominate exact-rational pivoting. Only division
-// leaves the dyadic world, and the solver layers above are arranged so
-// division happens O(terms²) times per solve (tiny basis systems)
-// rather than O(rows·cols) times (tableau pivots).
+// Every number the generation pipeline hands the LP is a float64, so
+// it is dyadic: a value of the form mant·2^exp with integer mant. Sums,
+// differences and products of dyadics are dyadic, which means the whole
+// constraint matrix of the fitting LP can be represented as scaled
+// big.Ints sharing per-row power-of-two exponents — no big.Rat
+// normalization, hence none of the hidden GCDs that dominate
+// exact-rational pivoting. Only division leaves the dyadic world, and
+// the solver layers above are arranged so division happens O(terms²)
+// times per solve (tiny basis systems) rather than O(rows·cols) times
+// (simplex pivots).
 package lp
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+	"math/bits"
+)
 
 // dyad is an exact dyadic rational: Num · 2^Exp. A zero Num represents
 // zero regardless of Exp.
@@ -21,18 +25,28 @@ type dyad struct {
 	Exp int
 }
 
-// setRat sets d from a rational whose denominator is a power of
-// two, reporting false (and leaving d unspecified) otherwise.
-func (d *dyad) setRat(r *big.Rat) bool {
-	den := r.Denom()
-	// A power of two has exactly one set bit.
-	k := den.TrailingZeroBits()
-	if den.BitLen() != int(k)+1 {
-		return false
+// setFloat64 sets d to the finite float64 x exactly, in lowest terms:
+// Exp = 0 with integer Num when x is an integer, otherwise odd Num and
+// Exp < 0. This is the numerator and power-of-two denominator that
+// big.Rat.SetFloat64 produces, so every scaled integer downstream is
+// the same as for the rational form of x.
+func (d *dyad) setFloat64(x float64) {
+	frac, e := math.Frexp(x)
+	mant := int64(math.Ldexp(frac, 53)) // exact: |mant| < 2^53
+	d.Exp = 0
+	if mant == 0 {
+		d.Num.SetInt64(0)
+		return
 	}
-	d.Num.Set(r.Num())
-	d.Exp = -int(k)
-	return true
+	tz := bits.TrailingZeros64(uint64(mant))
+	mant >>= tz
+	e += tz - 53
+	d.Num.SetInt64(mant)
+	if e >= 0 {
+		d.Num.Lsh(&d.Num, uint(e))
+	} else {
+		d.Exp = e
+	}
 }
 
 // rat returns d as a big.Rat.

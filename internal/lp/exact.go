@@ -1,3 +1,28 @@
+// Package lp is this repository's stand-in for SoPlex: an exact linear
+// programming solver for the polynomial-fitting queries issued by the
+// RLIBM-32 pipeline. Its inputs are float64s, hence dyadic rationals
+// (see dyad.go), and it runs simplex on a fraction-free big.Int matrix,
+// so every decision it makes is exact.
+//
+// The pipeline's query is: given reduced inputs r_i with reduced
+// intervals [l_i, h_i], find coefficients c such that
+//
+//	l_i <= Σ_j c_j · r_i^(e_j) <= h_i   for all i,
+//
+// where e_j are the monomial exponents (possibly odd/even-restricted).
+// Rather than running simplex on the primal — whose basis would grow
+// with the sample size — Solve maximizes the feasibility margin
+//
+//	max δ  s.t.  l_i + δ <= Σ_j c_j r_i^(e_j) <= h_i − δ
+//
+// and solves the *dual*, which has only (number of terms + 1) equality
+// rows no matter how many constraints the sample contains. The primal
+// coefficients are recovered from the optimal dual multipliers and then
+// re-verified against every constraint in exact arithmetic, so a
+// feasible answer from this package is certified, not just claimed.
+// The margin-maximizing (Chebyshev-style) solution also leaves the
+// largest possible slack for reduced inputs that were not sampled,
+// which is exactly what counterexample-guided generation wants.
 package lp
 
 import (
@@ -5,24 +30,37 @@ import (
 	"math/big"
 )
 
+// ErrIterationLimit is returned when simplex fails to terminate within
+// the iteration budget (which, with Bland's rule, indicates a bug or a
+// pathologically large problem rather than cycling).
+var ErrIterationLimit = errors.New("lp: simplex iteration limit exceeded")
+
+// errUnbounded reports an unbounded objective, which Solve interprets
+// as infeasibility of the primal's hard constraints.
+var errUnbounded = errors.New("lp: unbounded objective")
+
 // errInfeasibleEq reports a phase-1 optimum > 0: the equality system has
 // no nonnegative solution.
 var errInfeasibleEq = errors.New("lp: infeasible equality system")
 
-// itab is the fraction-free (integer-pivoting, Edmonds/Bareiss) variant
-// of tableau: it stores q·(tableau value) as big.Int with a single
-// common denominator q (the previous pivot element). A Gauss-Jordan
-// pivot then needs one multiply, one fused multiply-subtract and one
-// *exact* integer division per entry — and none of the GCD
-// normalizations that dominate big.Rat pivoting. Because q > 0 is an
-// invariant during simplex iterations, sign tests and Dantzig pricing
-// compare stored integers directly, and ratio tests cross-multiply, so
-// the pivot sequence is identical to the big.Rat tableau's: the two
-// engines return bit-identical answers.
+// itab is a dense full-matrix simplex for
+//
+//	min cᵀx  s.t.  A x = b,  x >= 0
+//
+// with few rows and many columns, in fraction-free (integer-pivoting,
+// Edmonds/Bareiss) form: it stores q·(matrix value) as big.Int with a
+// single common denominator q (the previous pivot element). A
+// Gauss-Jordan pivot then needs one multiply, one fused
+// multiply-subtract and one *exact* integer division per entry — and
+// none of the GCD normalizations that dominate big.Rat pivoting.
+// Because q > 0 is an invariant during simplex iterations, sign tests
+// and Dantzig pricing compare stored integers directly, and ratio
+// tests cross-multiply, so the pivot sequence is the one a big.Rat
+// simplex with the same rules makes (the tests run such a reference).
 type itab struct {
 	m, n   int         // constraint rows, variable columns
 	a      [][]big.Int // (m+1) x (n+1): constraint rows + objective row; last col = rhs
-	q      big.Int     // common denominator (previous pivot); a[i][j]/q is the tableau value
+	q      big.Int     // common denominator (previous pivot); a[i][j]/q is the matrix value
 	basis  []int       // basic variable per row
 	block  []bool      // columns barred from entering (artificials in phase 2)
 	pivots int         // pivot operations performed (telemetry)
@@ -89,7 +127,7 @@ var intOne = big.NewInt(1)
 
 // normalize restores the q > 0 invariant (a basis-installation pivot on
 // a negative entry flips it) by negating every stored entry along with
-// q; the represented tableau −a/−q is unchanged.
+// q; the represented matrix −a/−q is unchanged.
 func (t *itab) normalize() {
 	if t.q.Sign() >= 0 {
 		return
@@ -102,13 +140,13 @@ func (t *itab) normalize() {
 	}
 }
 
-// minimize runs simplex to optimality on the current objective row.
-// It is the integer twin of tableau.minimize: Dantzig pricing with a
-// switch to Bland's rule after a budget, leaving row by minimum ratio
-// with ties broken by smallest basis index. All comparisons are on
-// represented values (pricing compares stored entries, which share the
-// positive denominator q; ratios cross-multiply), so the pivot choices
-// match the big.Rat engine's exactly.
+// minimize runs simplex to optimality on the current objective row:
+// Dantzig pricing with a switch to Bland's rule after a budget
+// (guaranteeing termination), leaving row by minimum ratio with ties
+// broken by smallest basis index. All comparisons are on represented
+// values (pricing compares stored entries, which share the positive
+// denominator q; ratios cross-multiply), so the pivot choices are
+// those of the same rules run over big.Rat.
 func (t *itab) minimize() error {
 	const dantzigBudget = 2000
 	const hardLimit = 20000
@@ -165,10 +203,8 @@ func (t *itab) minimize() error {
 
 // intSolution is the outcome of solveDyadic. The multipliers are kept
 // as shared-denominator numerators (π_i = piNum_i / piDen) so callers
-// can keep verifying in pure integer arithmetic; rats() converts.
+// can keep verifying in pure integer arithmetic.
 type intSolution struct {
-	obj    *big.Rat
-	x      []*big.Rat
 	piNum  []big.Int
 	piDen  big.Int
 	pivots int // pivot operations this solve performed
@@ -178,30 +214,23 @@ type intSolution struct {
 	basis []int
 }
 
-// pi converts the multipliers to big.Rat form.
-func (s *intSolution) pi() []*big.Rat {
-	out := make([]*big.Rat, len(s.piNum))
-	for i := range s.piNum {
-		out[i] = new(big.Rat).SetFrac(&s.piNum[i], &s.piDen)
-	}
-	return out
-}
-
 // errWarmStart reports that a supplied warm basis could not be
 // installed (singular or primal infeasible); the caller should re-solve
 // cold.
 var errWarmStart = errors.New("lp: warm basis rejected")
 
 // solveDyadic solves min costᵀx s.t. Ax = b, x >= 0 where every entry
-// is dyadic, using the fraction-free integer tableau. Each row is
-// scaled by a power of two 2^{s_i} so its entries become integers; the
-// artificial column for row i carries the entry 2^{s_i}, which makes
-// the integer program an exact row-rescaling of the big.Rat engine's —
-// every represented tableau value, reduced cost and ratio agrees with
-// the unscaled problem at every basis, so results are identical.
+// is dyadic, using two-phase simplex on the fraction-free integer
+// matrix. Each row is scaled by a power of two 2^{s_i} so its entries
+// become integers; the artificial column for row i carries the entry
+// 2^{s_i}, which makes the integer program an exact row-rescaling of
+// the rational one — every represented matrix value, reduced cost and
+// ratio agrees with the unscaled problem at every basis. b entries may
+// have any sign; rows with negative b are negated and their
+// multipliers negated back.
 //
 // If warm is non-nil it must list one structural column per row (an
-// optimal basis from a related solve); the tableau is driven to that
+// optimal basis from a related solve); the matrix is driven to that
 // basis by Gauss-Jordan pivots and phase 2 re-entered from it directly,
 // skipping phase 1. A singular or infeasible warm basis returns
 // errWarmStart.
@@ -343,21 +372,10 @@ func solveDyadic(a [][]dyad, b []dyad, cost []dyad, warm []int) (*intSolution, e
 	var lam2q big.Int
 	lam2q.Lsh(&t.q, uint(-costMin))
 
-	sol := &intSolution{obj: new(big.Rat), pivots: t.pivots}
-	sol.x = make([]*big.Rat, n)
-	for j := range sol.x {
-		sol.x[j] = new(big.Rat)
-	}
-	var rtmp big.Rat
+	sol := &intSolution{pivots: t.pivots}
 	sol.basis = make([]int, 0, m)
-	for i := 0; i < m; i++ {
-		bi := t.basis[i]
+	for _, bi := range t.basis {
 		if bi < n {
-			sol.x[bi].SetFrac(&t.a[i][t.n], &t.q)
-			if cost[bi].sign() != 0 {
-				rtmp.Mul(cost[bi].rat(), sol.x[bi])
-				sol.obj.Add(sol.obj, &rtmp)
-			}
 			sol.basis = append(sol.basis, bi)
 		}
 	}
@@ -378,10 +396,10 @@ func solveDyadic(a [][]dyad, b []dyad, cost []dyad, warm []int) (*intSolution, e
 	return sol, nil
 }
 
-// installBasis drives the start tableau (all artificials basic) to the
+// installBasis drives the start matrix (all artificials basic) to the
 // given structural basis by one Gauss-Jordan pivot per column. The
 // pivots may land on negative entries — q's sign is repaired by
-// normalize — and leave the tableau exactly representing the target
+// normalize — and leave the matrix exactly representing the target
 // basis, skipping phase 1 entirely.
 func (t *itab) installBasis(warm []int) error {
 	if len(warm) != t.m {
@@ -408,48 +426,4 @@ func (t *itab) installBasis(warm []int) error {
 	}
 	t.normalize()
 	return nil
-}
-
-// dyadicize converts a solveStandard-shaped problem to dyadic form,
-// reporting false if any entry has a non-power-of-two denominator.
-func dyadicize(a [][]*big.Rat, b, cost []*big.Rat) (ad [][]dyad, bd, cd []dyad, ok bool) {
-	bd = make([]dyad, len(b))
-	for i, v := range b {
-		if !bd[i].setRat(v) {
-			return nil, nil, nil, false
-		}
-	}
-	cd = make([]dyad, len(cost))
-	for j, v := range cost {
-		if !cd[j].setRat(v) {
-			return nil, nil, nil, false
-		}
-	}
-	ad = make([][]dyad, len(a))
-	for i, row := range a {
-		ad[i] = make([]dyad, len(row))
-		for j, v := range row {
-			if !ad[i][j].setRat(v) {
-				return nil, nil, nil, false
-			}
-		}
-	}
-	return ad, bd, cd, true
-}
-
-// solveStandard solves min costᵀ x s.t. A x = b, x >= 0 using two-phase
-// simplex, returning the optimal objective, the primal solution x, and
-// the simplex multipliers π. Dyadic problems (the only kind the
-// pipeline issues) run on the fraction-free integer tableau; anything
-// else falls back to the big.Rat tableau. Both engines make identical
-// pivot choices, so the answers agree bit for bit.
-func solveStandard(a [][]*big.Rat, b []*big.Rat, cost []*big.Rat) (obj *big.Rat, x []*big.Rat, pi []*big.Rat, err error) {
-	if ad, bd, cd, ok := dyadicize(a, b, cost); ok {
-		sol, err := solveDyadic(ad, bd, cd, nil)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return sol.obj, sol.x, sol.pi(), nil
-	}
-	return solveStandardRat(a, b, cost)
 }

@@ -10,12 +10,12 @@ import (
 // Lo <= P(X) <= Hi, and asks it to stay as close as possible to the
 // preferred value V (normally the correctly rounded value of the
 // approximated function at X; if V is outside [Lo, Hi] it is clamped).
-// X, Lo, Hi, V are exact rationals.
+// Every field is taken as the exact rational value of the float64.
+// X, Lo and Hi must be finite; a NaN or infinite V selects the
+// interval midpoint.
 type Constraint struct {
-	X  *big.Rat
-	Lo *big.Rat
-	Hi *big.Rat
-	V  *big.Rat // may be nil: defaults to the interval midpoint
+	X, Lo, Hi float64
+	V         float64
 }
 
 // Problem is a polynomial fitting query: find coefficients c_j for the
@@ -56,7 +56,7 @@ type SolverStats struct {
 	ColdSolves       int // exact solves from scratch (incl. warm-start retries)
 	PrunedConflicts  int // duplicate-X merges that proved infeasibility outright
 	MergedCons       int // constraints removed by dominance merging
-	Pivots           int // exact-tableau pivot operations (simplex + basis installs)
+	Pivots           int // exact simplex pivot operations (simplex + basis installs)
 }
 
 // Solver runs fitting queries with the fast paths layered in front of
@@ -68,35 +68,24 @@ type SolverStats struct {
 //
 // Every fast path is certified: presolve answers are accepted only
 // after exact verification of feasibility and optimality of the basis
-// (see presolve.go), warm starts run on the exact tableau itself, and
+// (see presolve.go), warm starts run on the exact engine itself, and
 // every returned Result is re-checked against every input constraint in
 // exact arithmetic — so a Solver can never return an answer the plain
 // exact engine would reject.
 type Solver struct {
-	// NoPresolve disables the float64 presolve (exact engine only).
-	NoPresolve bool
-	// NoWarm disables carrying the optimal basis between solves.
-	NoWarm bool
 	// Stats accumulates across Solve calls.
 	Stats SolverStats
 
-	pows      map[float64][]*dyad // monomial powers per exact-float64 point
+	noPresolve bool // exact engine only (tests compare against it)
+	noWarm     bool // never carry the optimal basis between solves
+
+	pows      map[float64][]*dyad // monomial powers per point
 	warm      []int               // optimal basis of the previous solve
 	warmTerms int                 // len(Terms) the warm basis belongs to
 }
 
 // NewSolver returns a Solver with all fast paths enabled.
 func NewSolver() *Solver { return &Solver{} }
-
-// RatFromFloat converts a float64 exactly to a big.Rat (panics on
-// non-finite input).
-func RatFromFloat(x float64) *big.Rat {
-	r := new(big.Rat).SetFloat64(x)
-	if r == nil {
-		panic(fmt.Sprintf("lp: non-finite float %v", x))
-	}
-	return r
-}
 
 // Solve is the one-shot entry point: it runs p on a fresh Solver.
 func Solve(p *Problem) (*Result, error) {
@@ -109,7 +98,7 @@ type solverCon struct {
 	lo, hi dyad
 	v      dyad
 	pow    []*dyad // pow[j] = x^Terms[j] (indexed by term position)
-	xKey   float64 // exact float64 value of X, NaN if X is not one
+	x      float64 // the point itself: merge and power-cache key
 }
 
 // Solve runs the fitting query. See Solver for the fast-path layering;
@@ -121,10 +110,9 @@ func (s *Solver) Solve(p *Problem) (*Result, error) {
 		return nil, fmt.Errorf("lp: empty problem (%d terms, %d constraints)", n, m)
 	}
 	s.Stats.Solves++
-	cons, ok := s.prepare(p)
-	if !ok {
-		// Non-dyadic rationals in the input: take the legacy path.
-		return solveRat(p)
+	cons, err := s.prepare(p)
+	if err != nil {
+		return nil, err
 	}
 	lpCons, conflict, merged := mergeDuplicates(cons)
 	if conflict {
@@ -138,7 +126,7 @@ func (s *Solver) Solve(p *Problem) (*Result, error) {
 	a, b, cost := buildDual(n, lpCons)
 
 	var hint []int
-	if !s.NoPresolve {
+	if !s.noPresolve {
 		pr, h := presolve(a, b, cost)
 		if pr != nil {
 			if pr.unbounded {
@@ -147,7 +135,7 @@ func (s *Solver) Solve(p *Problem) (*Result, error) {
 			}
 			if certifyCons(cons, pr.piNum[:n], &pr.piDen) {
 				s.Stats.PresolveAccepted++
-				if !s.NoWarm {
+				if !s.noWarm {
 					s.warm = pr.basis
 					s.warmTerms = n
 				}
@@ -188,7 +176,7 @@ func (s *Solver) Solve(p *Problem) (*Result, error) {
 		}
 		return nil, err
 	}
-	if !s.NoWarm && sol.basis != nil {
+	if !s.noWarm && sol.basis != nil {
 		s.warm = sol.basis
 		s.warmTerms = n
 	}
@@ -205,7 +193,7 @@ func (s *Solver) Solve(p *Problem) (*Result, error) {
 // warmBasisFor returns the carried basis if it is usable for a problem
 // with n+1 rows and the given column count, else nil.
 func (s *Solver) warmBasisFor(n, cols int) []int {
-	if s.NoWarm || s.warm == nil || s.warmTerms != n || len(s.warm) != n+1 {
+	if s.noWarm || s.warm == nil || s.warmTerms != n || len(s.warm) != n+1 {
 		return nil
 	}
 	for _, c := range s.warm {
@@ -217,25 +205,30 @@ func (s *Solver) warmBasisFor(n, cols int) []int {
 }
 
 // prepare converts the constraints to dyadic form with memoized
-// monomial powers, reporting false if any rational is non-dyadic.
-func (s *Solver) prepare(p *Problem) ([]solverCon, bool) {
+// monomial powers, rejecting a non-finite X, Lo or Hi.
+func (s *Solver) prepare(p *Problem) ([]solverCon, error) {
 	maxExp := 0
 	for _, e := range p.Terms {
 		if e > maxExp {
 			maxExp = e
 		}
 	}
+	if s.pows == nil {
+		s.pows = make(map[float64][]*dyad)
+	}
 	cons := make([]solverCon, len(p.Cons))
 	for i, con := range p.Cons {
-		c := &cons[i]
-		var x dyad
-		if !x.setRat(con.X) || !c.lo.setRat(con.Lo) || !c.hi.setRat(con.Hi) {
-			return nil, false
-		}
-		if con.V != nil {
-			if !c.v.setRat(con.V) {
-				return nil, false
+		for _, f := range [...]float64{con.X, con.Lo, con.Hi} {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("lp: constraint %d: non-finite value in X=%v Lo=%v Hi=%v", i, con.X, con.Lo, con.Hi)
 			}
+		}
+		c := &cons[i]
+		c.x = con.X
+		c.lo.setFloat64(con.Lo)
+		c.hi.setFloat64(con.Hi)
+		if !math.IsNaN(con.V) && !math.IsInf(con.V, 0) {
+			c.v.setFloat64(con.V)
 			// Clamp the preferred value into the interval.
 			if c.v.cmp(&c.lo) < 0 {
 				c.v = c.lo
@@ -247,38 +240,29 @@ func (s *Solver) prepare(p *Problem) ([]solverCon, bool) {
 			mid.add(&c.lo, &c.hi)
 			c.v.half(&mid)
 		}
-		var byExp []*dyad
-		f, exact := con.X.Float64()
-		if !exact {
-			c.xKey = math.NaN()
-			byExp = powsOf(&x, p.Terms, maxExp, nil)
-		} else {
-			c.xKey = f
-			if s.pows == nil {
-				s.pows = make(map[float64][]*dyad)
-			}
-			byExp = powsOf(&x, p.Terms, maxExp, s.pows[f])
-			s.pows[f] = byExp
-		}
+		byExp := powsOf(con.X, p.Terms, maxExp, s.pows[con.X])
+		s.pows[con.X] = byExp
 		c.pow = make([]*dyad, len(p.Terms))
 		for j, e := range p.Terms {
 			c.pow[j] = byExp[e]
 		}
 	}
-	return cons, true
+	return cons, nil
 }
 
 // powsOf returns a slice indexed by exponent with x^e filled in for
 // every e in terms, reusing (and extending) cached entries.
-func powsOf(x *dyad, terms []int, maxExp int, cached []*dyad) []*dyad {
+func powsOf(x float64, terms []int, maxExp int, cached []*dyad) []*dyad {
 	if len(cached) < maxExp+1 {
 		grown := make([]*dyad, maxExp+1)
 		copy(grown, cached)
 		cached = grown
 	}
+	var xd dyad
+	xd.setFloat64(x)
 	for _, e := range terms {
 		if cached[e] == nil {
-			pw := dyadPow(x, e)
+			pw := dyadPow(&xd, e)
 			cached[e] = &pw
 		}
 	}
@@ -288,19 +272,14 @@ func powsOf(x *dyad, terms []int, maxExp int, cached []*dyad) []*dyad {
 // mergeDuplicates intersects constraints that share the same sample
 // point: P must satisfy both, so only the intersection matters, and an
 // empty intersection proves infeasibility without any solve. Points
-// are matched by their exact float64 key (the only kind the pipeline
-// produces); others are conservatively kept as is.
+// are matched by their float64 value (±0 are one point).
 func mergeDuplicates(cons []solverCon) (out []solverCon, conflict bool, merged int) {
 	// Never alias cons: the caller certifies the final answer against
 	// the original, unmerged constraints.
 	seen := make(map[float64]int, len(cons))
 	out = make([]solverCon, 0, len(cons))
 	for _, c := range cons {
-		if math.IsNaN(c.xKey) {
-			out = append(out, c)
-			continue
-		}
-		if j, dup := seen[c.xKey]; dup {
+		if j, dup := seen[c.x]; dup {
 			d := &out[j]
 			if c.lo.cmp(&d.lo) > 0 {
 				d.lo = c.lo
@@ -320,7 +299,7 @@ func mergeDuplicates(cons []solverCon) (out []solverCon, conflict bool, merged i
 			merged++
 			continue
 		}
-		seen[c.xKey] = len(out)
+		seen[c.x] = len(out)
 		out = append(out, c)
 	}
 	return out, false, merged
@@ -448,121 +427,6 @@ func resultFromDyads(piNum []dyad, den *big.Int, n int) *Result {
 	res.Dist.Quo(res.Dist, denRat)
 	res.Dist.Neg(res.Dist)
 	return res
-}
-
-// solveRat is the legacy all-big.Rat path, kept for problems whose
-// rationals are not dyadic (never produced by the pipeline, but part of
-// the package API).
-func solveRat(p *Problem) (*Result, error) {
-	n := len(p.Terms)
-	m := len(p.Cons)
-	cols := 4 * m
-	rows := n + 1
-	a := make([][]*big.Rat, rows)
-	for i := range a {
-		a[i] = make([]*big.Rat, cols)
-		for j := range a[i] {
-			a[i][j] = new(big.Rat)
-		}
-	}
-	cost := make([]*big.Rat, cols)
-	b := make([]*big.Rat, rows)
-	for i := range b {
-		b[i] = new(big.Rat)
-	}
-	b[n].SetInt64(1)
-	half := big.NewRat(1, 2)
-	minW := new(big.Rat)
-	for _, con := range p.Cons {
-		w := new(big.Rat).Sub(con.Hi, con.Lo)
-		if w.Sign() > 0 && (minW.Sign() == 0 || w.Cmp(minW) < 0) {
-			minW.Set(w)
-		}
-	}
-	if minW.Sign() == 0 {
-		minW.SetInt64(1) // all constraints are exact points
-	}
-	for i, con := range p.Cons {
-		for j, e := range p.Terms {
-			pw := ratPow(con.X, e)
-			a[j][4*i].Set(pw)
-			a[j][4*i+1].Neg(pw)
-			a[j][4*i+2].Set(pw)
-			a[j][4*i+3].Neg(pw)
-		}
-		w := new(big.Rat).Sub(con.Hi, con.Lo)
-		w.Mul(w, half)
-		if w.Sign() == 0 {
-			w.Set(minW)
-			w.Mul(w, half)
-		}
-		a[n][4*i].Set(w)
-		a[n][4*i+1].Set(w)
-		v := con.V
-		if v == nil {
-			v = new(big.Rat).Add(con.Lo, con.Hi)
-			v.Mul(v, half)
-		} else {
-			if v.Cmp(con.Lo) < 0 {
-				v = con.Lo
-			} else if v.Cmp(con.Hi) > 0 {
-				v = con.Hi
-			}
-		}
-		cost[4*i] = new(big.Rat).Set(v)
-		cost[4*i+1] = new(big.Rat).Neg(v)
-		cost[4*i+2] = new(big.Rat).Set(con.Hi)
-		cost[4*i+3] = new(big.Rat).Neg(con.Lo)
-	}
-	_, _, pi, err := solveStandard(a, b, cost)
-	if err != nil {
-		if err == errUnbounded {
-			// Unbounded dual ⇔ infeasible hard constraints.
-			return &Result{Feasible: false, Dist: nil}, nil
-		}
-		return nil, err
-	}
-	// π = (c_0..c_{n-1}, τ) with τ = −t* (the primal minimizes t).
-	res := &Result{
-		Feasible: true,
-		Coeffs:   pi[:n],
-		Dist:     new(big.Rat).Neg(pi[n]),
-	}
-	// Certify: exact re-check of every hard constraint.
-	for _, con := range p.Cons {
-		v := EvalRat(res.Coeffs, p.Terms, con.X)
-		if v.Cmp(con.Lo) < 0 || v.Cmp(con.Hi) > 0 {
-			return nil, fmt.Errorf("lp: internal error: recovered solution violates a constraint (P(%v)=%v not in [%v,%v])",
-				con.X, v, con.Lo, con.Hi)
-		}
-	}
-	return res, nil
-}
-
-// EvalRat evaluates Σ_j c_j x^(terms_j) exactly.
-func EvalRat(coeffs []*big.Rat, terms []int, x *big.Rat) *big.Rat {
-	v := new(big.Rat)
-	var tmp big.Rat
-	for j, c := range coeffs {
-		tmp.Mul(c, ratPow(x, terms[j]))
-		v.Add(v, &tmp)
-	}
-	return v
-}
-
-func ratPow(x *big.Rat, e int) *big.Rat {
-	r := new(big.Rat).SetInt64(1)
-	if e < 0 {
-		panic("lp: negative exponent")
-	}
-	base := new(big.Rat).Set(x)
-	for ; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			r.Mul(r, base)
-		}
-		base.Mul(base, base)
-	}
-	return r
 }
 
 // CoeffsToFloat rounds exact rational coefficients to their nearest

@@ -8,7 +8,7 @@ import (
 // This file implements the float64 presolve: run plain hardware-float
 // simplex on the fitting LP first, then *verify* the basis it claims is
 // optimal in exact arithmetic, and only fall back to the exact integer
-// tableau when verification fails. This is the SoPlex precision-
+// simplex when verification fails. This is the SoPlex precision-
 // boosting idea, and the same shape as the guard-band filter in
 // internal/exhaust: a fast approximate pass proposes, an exact pass
 // certifies, and nothing approximate is ever trusted on its own.
@@ -43,7 +43,7 @@ type presolveResult struct {
 	basis     []int // certified optimal basis, for warm-starting later solves
 }
 
-// ftab is a dense float64 simplex tableau in the same layout as itab.
+// ftab is a dense float64 simplex matrix in the same layout as itab.
 type ftab struct {
 	m, n  int
 	a     [][]float64
@@ -81,7 +81,7 @@ func (t *ftab) fpivot(row, col int) {
 // tied at it take the largest pivot element. The fitting dual is
 // heavily degenerate (b is a unit vector), so ties are the common
 // case, and always pivoting on the largest candidate keeps the basis
-// conditioned instead of amplifying the tableau by 1/tiny-pivot.
+// conditioned instead of amplifying the matrix by 1/tiny-pivot.
 // Returns −1 when no row qualifies (ray direction).
 func (t *ftab) fratio(col int) int {
 	row := -1
@@ -190,7 +190,7 @@ func presolve(a [][]dyad, b []dyad, cost []dyad) (res *presolveResult, hint []in
 		}
 		t.a[i][t.n] = b[i].float64() * s
 		// Artificial for the *scaled* row, so its column is a unit
-		// vector and the tableau starts in proper basis form.
+		// vector and the matrix starts in proper basis form.
 		t.a[i][n+i] = 1
 		t.basis[i] = n + i
 	}
@@ -267,7 +267,7 @@ func presolve(a [][]dyad, b []dyad, cost []dyad) (res *presolveResult, hint []in
 		t.a[t.m][j] = cj - s
 	}
 	// Optimize, then let exact verification steer: when the float
-	// tableau stops within its tolerance but some column's exact
+	// simplex stops within its tolerance but some column's exact
 	// reduced cost is still negative, force that column in and
 	// re-optimize. This is iterative refinement with the expensive
 	// direction-finding done by the cheap integer rc sweep we need for
@@ -456,7 +456,7 @@ func (lu *basisLU) piDyad(cB []dyad) []dyad {
 // optimal for (min costᵀx, Ax=b, x>=0). On success it returns the
 // certified multipliers and badCol = −1. When the basis is feasible
 // but a column's exact reduced cost is negative, it returns (nil,
-// that column) so the float tableau can be refined by pivoting there.
+// that column) so the float simplex can be refined by pivoting there.
 // Any other failure returns (nil, −1).
 func verifyBasis(a [][]dyad, b []dyad, cost []dyad, basis []int) (res *presolveResult, badCol int) {
 	m := len(b)

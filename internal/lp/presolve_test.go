@@ -22,20 +22,25 @@ func expFitProblem(seed int64, m int, tol float64) *Problem {
 	for i := 0; i < m; i++ {
 		x := rng.Float64()
 		y := math.Exp(x)
-		p.Cons = append(p.Cons, Constraint{X: rat(x), Lo: rat(y * (1 - tol)), Hi: rat(y * (1 + tol))})
+		p.Cons = append(p.Cons, con(x, y*(1-tol), y*(1+tol)))
 	}
 	return p
 }
 
-// checkSameAnswer solves p with the full fast-path stack and with the
-// exact engine alone, and requires the answers to agree exactly:
-// same feasibility, identical optimal distance, and (when feasible)
-// both coefficient vectors certified against every constraint. The
-// optimal objective is unique even when the optimal vertex is not, so
-// Dist is the right equality to pin.
+// checkSameAnswer solves p with the full fast-path stack, with the
+// exact engine alone and with the big.Rat reference, and requires the
+// answers to agree exactly: same feasibility, identical optimal
+// distance, and (when feasible) every coefficient vector certified
+// against every constraint. The optimal objective is unique even when
+// the optimal vertex is not, so Dist is the right equality to pin. The
+// reference does not merge duplicate points, which changes the
+// objective's weights, so p must have distinct points.
 func checkSameAnswer(t *testing.T, fast *Solver, p *Problem) (*Result, *Result) {
 	t.Helper()
-	exact := &Solver{NoPresolve: true, NoWarm: true}
+	if !distinctX(p) {
+		t.Fatal("checkSameAnswer needs distinct points")
+	}
+	exact := &Solver{noPresolve: true, noWarm: true}
 	rf, err := fast.Solve(p)
 	if err != nil {
 		t.Fatalf("fast solve: %v", err)
@@ -44,21 +49,22 @@ func checkSameAnswer(t *testing.T, fast *Solver, p *Problem) (*Result, *Result) 
 	if err != nil {
 		t.Fatalf("exact solve: %v", err)
 	}
-	if rf.Feasible != re.Feasible {
-		t.Fatalf("feasibility mismatch: fast=%v exact=%v", rf.Feasible, re.Feasible)
+	rr, err := solveRatReference(t, p)
+	if err != nil {
+		t.Fatalf("reference solve: %v", err)
+	}
+	if rf.Feasible != re.Feasible || re.Feasible != rr.Feasible {
+		t.Fatalf("feasibility mismatch: fast=%v exact=%v reference=%v", rf.Feasible, re.Feasible, rr.Feasible)
 	}
 	if !rf.Feasible {
 		return rf, re
 	}
-	if rf.Dist.Cmp(re.Dist) != 0 {
-		t.Fatalf("optimal distance mismatch: fast=%v exact=%v", rf.Dist, re.Dist)
+	if rf.Dist.Cmp(re.Dist) != 0 || re.Dist.Cmp(rr.Dist) != 0 {
+		t.Fatalf("optimal distance mismatch: fast=%v exact=%v reference=%v", rf.Dist, re.Dist, rr.Dist)
 	}
-	for _, res := range []*Result{rf, re} {
-		for _, con := range p.Cons {
-			v := EvalRat(res.Coeffs, p.Terms, con.X)
-			if v.Cmp(con.Lo) < 0 || v.Cmp(con.Hi) > 0 {
-				t.Fatalf("certificate violated at X=%v", con.X)
-			}
+	for _, res := range []*Result{rf, re, rr} {
+		if !certified(t, p, res) {
+			t.Fatal("certificate violated")
 		}
 	}
 	return rf, re
@@ -88,7 +94,7 @@ func TestPresolveMatchesExact(t *testing.T) {
 				y += c * math.Pow(x, float64(j))
 			}
 			w := math.Abs(y)*1e-6 + 1e-9
-			p.Cons = append(p.Cons, Constraint{X: rat(x), Lo: rat(y - w), Hi: rat(y + w)})
+			p.Cons = append(p.Cons, con(x, y-w, y+w))
 		}
 		checkSameAnswer(t, s, p)
 	}
@@ -121,7 +127,7 @@ func TestPresolveForcedFallback(t *testing.T) {
 	p := &Problem{Terms: []int{0, 1, 2}}
 	for i, x := range []float64{1e-200, 2e-200, 3e-200} {
 		y := 1 + float64(i)
-		p.Cons = append(p.Cons, Constraint{X: rat(x), Lo: rat(y - 0.25), Hi: rat(y + 0.25)})
+		p.Cons = append(p.Cons, con(x, y-0.25, y+0.25))
 	}
 	s := NewSolver()
 	checkSameAnswer(t, s, p)
@@ -194,12 +200,9 @@ func TestWarmStartAcrossRefinement(t *testing.T) {
 	// Tighten every interval toward its midpoint, as a counterexample
 	// round does.
 	for i := range p.Cons {
-		mid := new(big.Rat).Add(p.Cons[i].Lo, p.Cons[i].Hi)
-		mid.Quo(mid, big.NewRat(2, 1))
-		w := new(big.Rat).Sub(p.Cons[i].Hi, p.Cons[i].Lo)
-		w.Quo(w, big.NewRat(8, 1))
-		p.Cons[i].Lo = new(big.Rat).Sub(mid, w)
-		p.Cons[i].Hi = new(big.Rat).Add(mid, w)
+		c := &p.Cons[i]
+		mid, w := (c.Lo+c.Hi)/2, (c.Hi-c.Lo)/8
+		c.Lo, c.Hi = mid-w, mid+w
 	}
 	checkSameAnswer(t, s, p)
 	if s.Stats.PresolveAccepted+s.Stats.WarmSolves == 0 {
@@ -208,7 +211,7 @@ func TestWarmStartAcrossRefinement(t *testing.T) {
 }
 
 // BenchmarkSolveEngines compares the layered fast paths against the
-// exact engine alone and the legacy big.Rat tableau on the same
+// exact engine alone and the big.Rat reference on the same
 // 100-constraint instance BenchmarkSolve100Constraints uses.
 func BenchmarkSolveEngines(b *testing.B) {
 	p := expFitProblem(1, 100, 1e-8)
@@ -222,15 +225,15 @@ func BenchmarkSolveEngines(b *testing.B) {
 	})
 	b.Run("exact", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := &Solver{NoPresolve: true, NoWarm: true}
+			s := &Solver{noPresolve: true, noWarm: true}
 			if _, err := s.Solve(p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("legacyRat", func(b *testing.B) {
+	b.Run("ratReference", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := solveRat(p); err != nil {
+			if _, err := solveRatReference(b, p); err != nil {
 				b.Fatal(err)
 			}
 		}

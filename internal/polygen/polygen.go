@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"runtime"
 	"slices"
 	"sort"
@@ -116,12 +115,12 @@ type Stats struct {
 	SubdomainFails  int
 	// LP engine breakdown (see lp.SolverStats): how many solves the
 	// certified float64 presolve settled vs. how many fell through to
-	// the exact tableau, and of those, how many warm-started.
+	// the exact simplex, and of those, how many warm-started.
 	PresolveAccepted int
 	PresolveRejected int
 	WarmSolves       int
 	ColdSolves       int
-	Pivots           int // exact-tableau pivot operations across all solves
+	Pivots           int // exact simplex pivot operations across all solves
 }
 
 // Merge folds o into st.
@@ -390,17 +389,11 @@ func genPiecewise(cons []Constraint, groups []int, n, shift uint, mn, mx uint64,
 	}, true
 }
 
-// sampleCon is one LP constraint with its (possibly refined) exact
-// rational interval. The rationals for the reduced input and preferred
-// value are converted once when the constraint enters the sample, not
-// per LP call.
+// sampleCon is one LP constraint with its (possibly refined)
+// interval.
 type sampleCon struct {
-	idx    int      // index into the sub-domain constraint slice
-	x      *big.Rat // exact reduced input
-	v      *big.Rat // exact preferred value, nil if V is not finite
-	lo, hi *big.Rat
-	loF    float64 // current float mirror of lo (for refinement steps)
-	hiF    float64
+	idx    int // index into the sub-domain constraint slice
+	lo, hi float64
 }
 
 // GenPolynomial is Algorithm 4: CEGIS with search-and-refine
@@ -430,16 +423,7 @@ func GenPolynomial(gc []Constraint, cfg Config, st *Stats) ([]float64, bool) {
 			return
 		}
 		inSample[i] = true
-		c := lpc[i]
-		sc := &sampleCon{
-			idx: i, x: lp.RatFromFloat(c.R),
-			lo: lp.RatFromFloat(c.Lo), hi: lp.RatFromFloat(c.Hi),
-			loF: c.Lo, hiF: c.Hi,
-		}
-		if !math.IsNaN(c.V) && !math.IsInf(c.V, 0) {
-			sc.v = lp.RatFromFloat(c.V)
-		}
-		sample = append(sample, sc)
+		sample = append(sample, &sampleCon{idx: i, lo: lpc[i].Lo, hi: lpc[i].Hi})
 	}
 	// Density-uniform seed sample over the sorted constraints, plus the
 	// tightest ("highly constrained") intervals.
@@ -530,9 +514,9 @@ func solveAndRefine(solver *lp.Solver, lpc []Constraint, sample []*sampleCon, cf
 	for {
 		prob.Cons = prob.Cons[:0]
 		for _, s := range sample {
-			c := lp.Constraint{X: s.x, Lo: s.lo, Hi: s.hi}
-			if !cfg.FeasibilityOnly {
-				c.V = s.v
+			c := lp.Constraint{X: lpc[s.idx].R, Lo: s.lo, Hi: s.hi, V: lpc[s.idx].V}
+			if cfg.FeasibilityOnly {
+				c.V = math.NaN() // the interval midpoint
 			}
 			prob.Cons = append(prob.Cons, c)
 		}
@@ -568,11 +552,11 @@ func solveAndRefine(solver *lp.Solver, lpc []Constraint, sample []*sampleCon, cf
 		var badHigh bool
 		for si, s := range sample {
 			v := piecewise.EvalPoly(kind, cfg.Terms, coeffs, lpc[s.idx].R)
-			if v < s.loF {
+			if v < s.lo {
 				bad, badHigh = si, false
 				break
 			}
-			if v > s.hiF {
+			if v > s.hi {
 				bad, badHigh = si, true
 				break
 			}
@@ -589,21 +573,12 @@ func solveAndRefine(solver *lp.Solver, lpc []Constraint, sample []*sampleCon, cf
 		// the exact LP solution away from the rounding boundary.
 		s := sample[bad]
 		if badHigh {
-			s.hiF = fp.NextDown64(s.hiF)
-			s.hi = lp.RatFromFloat(s.hiF)
+			s.hi = fp.NextDown64(s.hi)
 		} else {
-			s.loF = fp.NextUp64(s.loF)
-			s.lo = lp.RatFromFloat(s.loF)
+			s.lo = fp.NextUp64(s.lo)
 		}
-		if s.loF > s.hiF {
+		if s.lo > s.hi {
 			return nil, false
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
