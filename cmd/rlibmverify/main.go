@@ -1,12 +1,13 @@
 // Command rlibmverify runs the exhaustive float32 verification sweep:
 // every one of the 2^32 input bit patterns (or a -limit bounded prefix)
 // is checked against the correctly rounded result, using the two-tier
-// filter-then-oracle scheme of internal/exhaust.
+// filter-then-oracle scheme of internal/exhaust behind its monotone-run
+// bracketing (a run of equal outputs is proved from its two ends).
 //
 // Usage:
 //
 //	rlibmverify -func log2                     # full 2^32 sweep of rlibm log2
-//	rlibmverify -func all -limit 1<<24         # bounded CI slice, all functions
+//	rlibmverify -func all -limit 1<<22         # bounded CI slice, all functions
 //	rlibmverify -func exp -lib fastfloat       # refute a baseline library
 //	rlibmverify -func ln -checkpoint ln.ckpt   # checkpointed ...
 //	rlibmverify -func ln -checkpoint ln.ckpt -resume   # ... and resumed
@@ -99,9 +100,10 @@ func main() {
 		if !*quiet {
 			cfg.Progress = func(s exhaust.Snapshot) {
 				rate := float64(s.RunInputs) / s.Elapsed.Seconds()
-				fmt.Printf("%-6s %6.2f%%  shards %d/%d  inputs %d  %.1fM/s  escalated %d  mismatched %d\n",
+				fmt.Printf("%-6s %6.2f%%  shards %d/%d  inputs %d  %.1fM/s  escalated %d  bracketed %d (%.1f%%)  mismatched %d\n",
 					name, 100*float64(s.ShardsDone)/float64(s.ShardsTotal),
-					s.ShardsDone, s.ShardsTotal, s.Inputs, rate/1e6, s.Escalated, s.Mismatched)
+					s.ShardsDone, s.ShardsTotal, s.Inputs, rate/1e6, s.Escalated,
+					s.Bracketed, percent(s.Bracketed, s.Inputs), s.Mismatched)
 			}
 		}
 		rep, err := exhaust.Run(ctx, cfg)
@@ -177,6 +179,14 @@ func parseLimit(s string) (uint64, error) {
 	return strconv.ParseUint(strings.TrimSpace(s), 0, 64)
 }
 
+// percent is n as a percentage of total (0 when total is 0).
+func percent(n, total uint64) float64 {
+	if total == 0 {
+		return 0
+	}
+	return 100 * float64(n) / float64(total)
+}
+
 func printReport(r *exhaust.Report, maxShow int) {
 	status := "PROVED correctly rounded"
 	if r.Mismatched > 0 {
@@ -190,8 +200,11 @@ func printReport(r *exhaust.Report, maxShow int) {
 		status = fmt.Sprintf("INCOMPLETE (%d/%d shards): %d wrong so far", r.ShardsDone, r.ShardsTotal, r.Mismatched)
 	}
 	fmt.Printf("%-6s %-10s %s — %s in %s\n", r.Func, r.Lib, status, scope, r.Elapsed.Round(time.Millisecond))
-	fmt.Printf("       inputs %d (NaN %d)  filter-decided %d (%.4f%%)  oracle-escalated %d (%.6f%%)\n",
-		r.Inputs, r.NaNInputs, r.Filtered, 100*(1-r.EscalationFraction()), r.Escalated, 100*r.EscalationFraction())
+	// Shares are of the non-NaN inputs, as EscalationFraction's is.
+	checked := r.Inputs - r.NaNInputs
+	fmt.Printf("       inputs %d (NaN %d)  bracketed %d (%.4f%%)  filter-decided %d (%.4f%%)  oracle-escalated %d (%.6f%%)\n",
+		r.Inputs, r.NaNInputs, r.Bracketed, percent(r.Bracketed, checked),
+		r.Filtered, percent(r.Filtered, checked), r.Escalated, 100*r.EscalationFraction())
 	for i, m := range r.Mismatches {
 		if i >= maxShow {
 			fmt.Printf("       ... %d more\n", int(r.Mismatched)-maxShow)

@@ -16,8 +16,10 @@ import (
 	"path/filepath"
 )
 
-// checkpointVersion guards the on-disk schema.
-const checkpointVersion = 1
+// checkpointVersion guards the on-disk schema. Version 2 added the
+// Bracketed count; a version 1 file is rejected, since its Filtered and
+// Escalated counts cover inputs a version 2 sweep would bracket.
+const checkpointVersion = 2
 
 // Mismatch is one refuted input: the library's result disagreed with
 // the arbitrary-precision oracle (NaN-vs-NaN and +0-vs--0 agree, as in
@@ -48,6 +50,7 @@ type checkpoint struct {
 	NaNInputs  uint64 `json:"nan_inputs"`
 	Filtered   uint64 `json:"filtered"`
 	Escalated  uint64 `json:"escalated"`
+	Bracketed  uint64 `json:"bracketed"`
 	Mismatched uint64 `json:"mismatched"`
 
 	// Mismatches holds up to maxMismatches entries; Mismatched is the

@@ -13,6 +13,12 @@
 // well under 0.01% of inputs escalate, so the sweep runs at
 // hardware-filter speed instead of Ziv-ladder speed.
 //
+// Most inputs need neither tier: outputs come in long runs of identical
+// bits (exp is 1.0 on every tiny input, ±Inf past overflow, +0 past
+// underflow; a log repeats a value for up to ~2^7 neighbours). On a run
+// that lies in one monotone piece of f, checking its two ends proves
+// every input between them (monotone-run bracketing, sweepShard).
+//
 // The sweep is organized as contiguous ordinal shards (internal/fp's
 // Ord32 rank order, rotated to start at +0): workers claim shards from
 // an atomic counter, evaluate the library through its batch slice
@@ -98,6 +104,9 @@ type Config struct {
 	// sliceOverride substitutes the library slice kernel (tests inject
 	// deliberately wrong implementations with it).
 	sliceOverride func(dst, xs []float32)
+	// pointwise disables monotone-run bracketing, checking every input
+	// through the reference (tests compare the two paths).
+	pointwise bool
 	// refOverride substitutes the double reference (tests).
 	refOverride func(float64) float64
 }
@@ -109,6 +118,7 @@ type Snapshot struct {
 	// resumed checkpoint; RunInputs only those checked by this process.
 	Inputs, RunInputs uint64
 	Escalated         uint64
+	Bracketed         uint64
 	Mismatched        uint64
 	Elapsed           time.Duration
 }
@@ -117,11 +127,13 @@ type Snapshot struct {
 type Report struct {
 	Func, Lib string
 
-	// Inputs = NaNInputs + Filtered + Escalated over completed shards.
+	// Inputs = NaNInputs + Filtered + Escalated + Bracketed over
+	// completed shards.
 	Inputs     uint64
 	NaNInputs  uint64 // NaN bit patterns (checked for NaN-in/NaN-out)
 	Filtered   uint64 // decided by the float64 guard-band filter alone
 	Escalated  uint64 // consulted the arbitrary-precision oracle
+	Bracketed  uint64 // proved by the two checked ends of their output run
 	Mismatched uint64 // oracle-refuted results (exact count)
 
 	// Mismatches is the retained log, sorted by input ordinal;
@@ -138,7 +150,7 @@ type Report struct {
 // EscalationFraction is the share of non-NaN inputs that needed the
 // Ziv oracle — the filter-effectiveness headline number.
 func (r *Report) EscalationFraction() float64 {
-	if n := r.Filtered + r.Escalated; n > 0 {
+	if n := r.Filtered + r.Escalated + r.Bracketed; n > 0 {
 		return float64(r.Escalated) / float64(n)
 	}
 	return 0
@@ -178,6 +190,7 @@ type engine struct {
 	of        bigfp.Func
 	slice     func(dst, xs []float32)
 	ref       func(float64) float64
+	piece     func(float64) float64
 	guard     float64
 	shardBits uint
 	limit     uint64
@@ -187,9 +200,9 @@ type engine struct {
 // shardAcc accumulates one shard's results (merged only if the whole
 // shard completes).
 type shardAcc struct {
-	inputs, nan, filtered, escalated, mismatched uint64
-	mismatches                                   []Mismatch
-	truncated                                    bool
+	inputs, nan, filtered, escalated, bracketed, mismatched uint64
+	mismatches                                              []Mismatch
+	truncated                                               bool
 }
 
 func (a *shardAcc) note(x, got, want float32) {
@@ -225,7 +238,7 @@ type collector struct {
 
 	// Scrape counters (nil handles are no-ops when Config.Metrics is
 	// unset).
-	mShards, mInputs, mEscalated, mMismatched *telemetry.Counter
+	mShards, mInputs, mEscalated, mBracketed, mMismatched *telemetry.Counter
 }
 
 func (c *collector) snapshotLocked(total uint64) Snapshot {
@@ -235,6 +248,7 @@ func (c *collector) snapshotLocked(total uint64) Snapshot {
 		Inputs:      c.state.Inputs,
 		RunInputs:   c.state.Inputs - c.startInputs,
 		Escalated:   c.state.Escalated,
+		Bracketed:   c.state.Bracketed,
 		Mismatched:  c.state.Mismatched,
 		Elapsed:     time.Since(c.start),
 	}
@@ -249,6 +263,7 @@ func (c *collector) merge(s uint64, acc *shardAcc, e *engine) {
 	st.NaNInputs += acc.nan
 	st.Filtered += acc.filtered
 	st.Escalated += acc.escalated
+	st.Bracketed += acc.bracketed
 	st.Mismatched += acc.mismatched
 	for _, m := range acc.mismatches {
 		if len(st.Mismatches) >= maxMismatches {
@@ -266,6 +281,7 @@ func (c *collector) merge(s uint64, acc *shardAcc, e *engine) {
 	c.mShards.Add(1)
 	c.mInputs.Add(acc.inputs)
 	c.mEscalated.Add(acc.escalated)
+	c.mBracketed.Add(acc.bracketed)
 	c.mMismatched.Add(acc.mismatched)
 	var snap Snapshot
 	emit := false
@@ -349,6 +365,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			"inputs checked by this process", lbl...)
 		col.mEscalated = reg.Counter("rlibm_exhaust_escalated_total",
 			"inputs that consulted the arbitrary-precision oracle", lbl...)
+		col.mBracketed = reg.Counter("rlibm_exhaust_bracketed_total",
+			"inputs proved by the checked ends of their monotone output run", lbl...)
 		col.mMismatched = reg.Counter("rlibm_exhaust_mismatches_total",
 			"oracle-refuted library results", lbl...)
 	}
@@ -395,6 +413,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Func: e.cfg.Func, Lib: e.cfg.Lib,
 		Inputs: state.Inputs, NaNInputs: state.NaNInputs,
 		Filtered: state.Filtered, Escalated: state.Escalated,
+		Bracketed:    state.Bracketed,
 		Mismatched:   state.Mismatched,
 		Mismatches:   append([]Mismatch(nil), state.Mismatches...),
 		LogTruncated: col.truncated,
@@ -464,7 +483,7 @@ func newEngine(cfg Config) (*engine, error) {
 	}
 	shardSize := uint64(1) << shardBits
 	return &engine{
-		cfg: cfg, of: of, slice: slice, ref: ref, guard: guard,
+		cfg: cfg, of: of, slice: slice, ref: ref, piece: pieceKey(cfg.Func), guard: guard,
 		shardBits: uint(shardBits), limit: limit,
 		nShards: (limit + shardSize - 1) / shardSize,
 	}, nil
@@ -473,6 +492,16 @@ func newEngine(cfg Config) (*engine, error) {
 // sweepShard checks every input of shard s, returning nil if ctx was
 // canceled before the shard finished (partial results are discarded so
 // resume accounting stays exact).
+//
+// Each batch is split into maximal runs of identical output bits over
+// non-NaN inputs in one monotone piece of f (checkBatch). A run of three or
+// more is bracketed: if both ends are correctly rounded, so is every
+// input between them, since f is monotone on the run and so is
+// round-to-nearest, which puts the correctly rounded value of each
+// interior input between the ends' equal values. The verdict is the
+// pointwise one on every input: a run whose ends do not both pass is
+// checked input by input, in sweep order, so mismatch counts and logs
+// are those of a pointwise sweep.
 func (e *engine) sweepShard(ctx context.Context, s uint64) *shardAcc {
 	lo := s << e.shardBits
 	hi := lo + 1<<e.shardBits
@@ -493,50 +522,161 @@ func (e *engine) sweepShard(ctx context.Context, s uint64) *shardAcc {
 			xs[j] = math.Float32frombits(sweepBits(base + uint64(j)))
 		}
 		e.slice(dst[:n], xs[:n])
-		for j := 0; j < n; j++ {
-			x, got := xs[j], dst[j]
-			acc.inputs++
-			if x != x {
-				// NaN input: the only contract is NaN out.
-				acc.nan++
-				if got == got {
-					acc.note(x, got, math.Float32frombits(canonicalNaN32))
-				}
-				continue
-			}
-			ref := e.ref(float64(x))
-			if ref != ref {
-				// Domain error: every Ref64 reference returns NaN exactly
-				// when the mathematical result is NaN (e.g. the whole
-				// negative half-line for the log family), so a NaN
-				// reference decides the check without the oracle.
-				acc.filtered++
-				if got == got {
-					acc.note(x, got, math.Float32frombits(canonicalNaN32))
-				}
-				continue
-			}
-			want, escalated := oracle.Float32Guarded(e.of, float64(x), ref, e.guard)
-			if escalated {
-				acc.escalated++
-			} else {
-				acc.filtered++
-			}
-			if !fp.Same32(want, got) {
-				if !escalated {
-					// The filter refuted the library. Its verdict leans on
-					// the reference's ulp contract, so confirm with the
-					// full Ziv ladder before recording a mismatch.
-					acc.filtered--
-					acc.escalated++
-					want = oracle.Float32(e.of, float64(x))
-					if fp.Same32(want, got) {
-						continue
-					}
-				}
-				acc.note(x, got, want)
-			}
-		}
+		e.checkBatch(acc, xs[:n], dst[:n])
 	}
 	return acc
+}
+
+// checkBatch checks a contiguous stretch of the sweep order, xs, against
+// the library results dst, run by run. Inputs outside bracketed runs are
+// checked one by one in sweep order, gathered into stretches.
+func (e *engine) checkBatch(acc *shardAcc, xs, dst []float32) {
+	acc.inputs += uint64(len(xs))
+	if e.cfg.pointwise {
+		e.checkEach(acc, xs, dst)
+		return
+	}
+	pending := 0 // xs[pending:j] awaits checkEach
+	for j := 0; j < len(xs); {
+		k := sameBitsEnd(xs, dst, j)
+		if k-j < 3 {
+			j = k
+			continue
+		}
+		last, p := e.pieceOf(xs[k-1]), e.pieceOf(xs[j])
+		if 3*(last.key-p.key+1) > float64(k-j) {
+			// The ends' keys are integers more than a third of the
+			// run's length apart, so its pieces hold fewer than three
+			// inputs on average and few could be bracketed (sinpi's
+			// zeros on integers past 2^23 are one output over as many
+			// pieces as inputs). Checking every input is always sound.
+			j = k
+			continue
+		}
+		e.checkEach(acc, xs[pending:j], dst[pending:j])
+		// Cut xs[j:k] at piece boundaries. Piece keys are non-decreasing
+		// along the sweep, so once a piece equals the last input's, it
+		// runs to k; before that, the walk stops at the first input of
+		// the next piece, whose key it carries over, so each input's key
+		// is taken once.
+		for j < k {
+			m, next := k, last
+			if p != last {
+				for m = j + 1; ; m++ {
+					if next = e.pieceOf(xs[m]); next != p {
+						break
+					}
+				}
+			}
+			e.bracket(acc, xs[j:m], dst[j:m])
+			j, p = m, next
+		}
+		pending = k
+	}
+	e.checkEach(acc, xs[pending:], dst[pending:])
+}
+
+// sameBitsEnd returns the end of the maximal stretch from j of
+// identical output bits over non-NaN inputs and outputs (j+1 when
+// xs[j] or dst[j] is NaN).
+func sameBitsEnd(xs, dst []float32, j int) int {
+	if xs[j] != xs[j] || dst[j] != dst[j] {
+		return j + 1
+	}
+	b := math.Float32bits(dst[j])
+	k := j + 1
+	for k < len(xs) && math.Float32bits(dst[k]) == b && xs[k] == xs[k] {
+		k++
+	}
+	return k
+}
+
+// piece names a monotone piece of f: the sign of x and its piece key.
+type piece struct {
+	neg bool
+	key float64
+}
+
+func (e *engine) pieceOf(x float32) piece {
+	return piece{math.Signbit(float64(x)), e.piece(float64(x))}
+}
+
+// bracket checks the run xs (one output value, one monotone piece) from
+// its two ends, falling back to checkEach on the interior when either
+// end is wrong, and on the whole of a run shorter than three. The last
+// end's verdict is tallied after the interior's so the mismatch log
+// keeps sweep order.
+func (e *engine) bracket(acc *shardAcc, xs, dst []float32) {
+	last := len(xs) - 1
+	if last < 2 {
+		e.checkEach(acc, xs, dst)
+		return
+	}
+	want, escalated, ok := e.verdict(xs[0], dst[0])
+	acc.tally(xs[0], dst[0], want, escalated, ok)
+	if !ok {
+		e.checkEach(acc, xs[1:], dst[1:])
+		return
+	}
+	want, escalated, ok = e.verdict(xs[last], dst[last])
+	if ok {
+		acc.bracketed += uint64(last - 1)
+	} else {
+		e.checkEach(acc, xs[1:last], dst[1:last])
+	}
+	acc.tally(xs[last], dst[last], want, escalated, ok)
+}
+
+// checkEach checks every input of xs against its library result.
+func (e *engine) checkEach(acc *shardAcc, xs, dst []float32) {
+	for i, x := range xs {
+		got := dst[i]
+		if x != x {
+			// NaN input: the only contract is NaN out.
+			acc.nan++
+			if got == got {
+				acc.note(x, got, math.Float32frombits(canonicalNaN32))
+			}
+			continue
+		}
+		want, escalated, ok := e.verdict(x, got)
+		acc.tally(x, got, want, escalated, ok)
+	}
+}
+
+// verdict decides whether got is the correctly rounded f(x) for a
+// non-NaN x, returning the correct value and whether the
+// arbitrary-precision oracle was consulted.
+func (e *engine) verdict(x, got float32) (want float32, escalated, ok bool) {
+	ref := e.ref(float64(x))
+	if ref != ref {
+		// Domain error: every Ref64 reference returns NaN exactly when
+		// the mathematical result is NaN (e.g. the whole negative
+		// half-line for the log family), so a NaN reference decides the
+		// check without the oracle.
+		return math.Float32frombits(canonicalNaN32), false, got != got
+	}
+	want, escalated = oracle.Float32Guarded(e.of, float64(x), ref, e.guard)
+	if fp.Same32(want, got) {
+		return want, escalated, true
+	}
+	if !escalated {
+		// The filter refuted the library. Its verdict leans on the
+		// reference's ulp contract, so confirm with the full Ziv ladder
+		// before recording a mismatch.
+		want = oracle.Float32(e.of, float64(x))
+	}
+	return want, true, fp.Same32(want, got)
+}
+
+// tally records one checked non-NaN input.
+func (a *shardAcc) tally(x, got, want float32, escalated, ok bool) {
+	if escalated {
+		a.escalated++
+	} else {
+		a.filtered++
+	}
+	if !ok {
+		a.note(x, got, want)
+	}
 }

@@ -5,20 +5,22 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rlibm32/internal/fp"
+	"rlibm32/internal/telemetry"
 
 	rlibm "rlibm32"
 )
 
 // corruptEvery wraps the real rlibm slice kernel for name, bumping the
-// result one ulp up whenever the input's bit pattern is divisible by
-// stride — a synthetic wrong library with an exactly predictable
-// mismatch set.
-func corruptEvery(t *testing.T, name string, stride uint32) func(dst, xs []float32) {
+// result one ulp up whenever the input's bit pattern plus offset is
+// divisible by stride — a synthetic wrong library with an exactly
+// predictable mismatch set.
+func corruptEvery(t *testing.T, name string, stride, offset uint32) func(dst, xs []float32) {
 	t.Helper()
 	real32, ok := rlibm.FuncSlice(name)
 	if !ok {
@@ -27,7 +29,7 @@ func corruptEvery(t *testing.T, name string, stride uint32) func(dst, xs []float
 	return func(dst, xs []float32) {
 		real32(dst, xs)
 		for i, x := range xs {
-			if math.Float32bits(x)%stride == 0 {
+			if (math.Float32bits(x)+offset)%stride == 0 {
 				dst[i] = fp.NextUp32(dst[i])
 			}
 		}
@@ -48,15 +50,41 @@ func TestSweepBoundedClean(t *testing.T) {
 	if !rep.Complete || rep.Inputs != 1<<16 {
 		t.Fatalf("incomplete sweep: %+v", rep)
 	}
-	if rep.NaNInputs+rep.Filtered+rep.Escalated != rep.Inputs {
-		t.Errorf("accounting mismatch: NaN %d + filtered %d + escalated %d != %d",
-			rep.NaNInputs, rep.Filtered, rep.Escalated, rep.Inputs)
+	if rep.NaNInputs+rep.Filtered+rep.Escalated+rep.Bracketed != rep.Inputs {
+		t.Errorf("accounting mismatch: NaN %d + filtered %d + escalated %d + bracketed %d != %d",
+			rep.NaNInputs, rep.Filtered, rep.Escalated, rep.Bracketed, rep.Inputs)
 	}
 	if rep.Mismatched != 0 {
 		t.Errorf("expected clean region, got %d mismatches, first %+v", rep.Mismatched, rep.Mismatches[0])
 	}
 	if frac := rep.EscalationFraction(); frac >= 0.01 {
 		t.Errorf("escalation fraction %v above the 1%% bar", frac)
+	}
+}
+
+// TestMetricsExportBracketed checks that the scrape counters carry the
+// sweep's accounting, bracketed inputs included.
+func TestMetricsExportBracketed(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	rep, err := Run(context.Background(), Config{
+		Func: "exp", Limit: 1 << 16, ShardBits: 12, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Bracketed == 0 {
+		t.Fatal("exp's tiny inputs all return 1.0, yet nothing was bracketed")
+	}
+	lbl := []string{"func", "exp", "lib", "rlibm"}
+	for name, want := range map[string]uint64{
+		"rlibm_exhaust_inputs_total":     rep.Inputs,
+		"rlibm_exhaust_escalated_total":  rep.Escalated,
+		"rlibm_exhaust_bracketed_total":  rep.Bracketed,
+		"rlibm_exhaust_mismatches_total": rep.Mismatched,
+	} {
+		if got := reg.Counter(name, "", lbl...).Load(); got != want {
+			t.Errorf("%s = %d, report says %d", name, got, want)
+		}
 	}
 }
 
@@ -96,7 +124,7 @@ func TestSweepRefutesCorruptLibrary(t *testing.T) {
 	const limit = 1 << 14
 	rep, err := Run(context.Background(), Config{
 		Func: "log2", Limit: limit, ShardBits: 10,
-		sliceOverride: corruptEvery(t, "log2", stride),
+		sliceOverride: corruptEvery(t, "log2", stride, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +168,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	base := Config{
 		Func: "log2", Limit: limit, ShardBits: 14, // 16 shards, 4 batches each
 		CheckpointEvery: 1,
-		sliceOverride:   corruptEvery(t, "log2", stride),
+		sliceOverride:   corruptEvery(t, "log2", stride, 0),
 	}
 
 	// Uninterrupted reference run.
@@ -257,6 +285,22 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 		if _, err := Run(context.Background(), bad); err == nil {
 			t.Errorf("resume with different %s accepted", name)
 		}
+	}
+
+	// A version 1 file (no Bracketed count) is rejected by name.
+	cp, err := loadCheckpoint(path, checkpointSkeleton(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Version = 1
+	if err := cp.save(path); err != nil {
+		t.Fatal(err)
+	}
+	resume := cfg
+	resume.Resume = true
+	_, err = Run(context.Background(), resume)
+	if err == nil || !strings.Contains(err.Error(), "version 1, want 2") {
+		t.Errorf("resume from a version 1 checkpoint: err = %v, want a version 1/2 rejection", err)
 	}
 }
 
